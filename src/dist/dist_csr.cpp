@@ -194,9 +194,8 @@ DistCsr DistCsr::from_rank_local(
 
   // Each rank's block is a pure function of its generated rows; build them
   // in parallel. Exceptions (e.g. a generator handing back malformed rows)
-  // must not escape the superstep body — the sequential executor's
-  // parallel_for is an OpenMP region — so they are captured per rank and
-  // the first one (in rank order, deterministically) rethrown after.
+  // are captured per rank and the first one in rank order rethrown after,
+  // so the error reported does not depend on which thread failed first.
   std::vector<std::exception_ptr> errors(
       static_cast<std::size_t>(layout.nranks()));
   resolve_executor(exec).parallel_for(

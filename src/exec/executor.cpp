@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/error.hpp"
 
 namespace fsaic {
@@ -95,25 +91,10 @@ AsyncAllreduce SeqExecutor::allreduce_begin(std::vector<value_t> partials,
 
 void SeqExecutor::parallel_for(index_t n,
                                const std::function<void(index_t, int)>& f) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    f(i, omp_get_thread_num());
-  }
-#else
   for (index_t i = 0; i < n; ++i) {
     f(i, 0);
   }
-#endif
   ++supersteps_;
-}
-
-int SeqExecutor::parallel_for_width() const {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
 }
 
 ExecStats SeqExecutor::stats() const {

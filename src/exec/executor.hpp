@@ -140,9 +140,8 @@ class Executor {
   /// rank space: items are scheduled in chunks for load balance and the
   /// assignment of items to slots is NOT deterministic — bodies must write
   /// only item-private outputs and slot-private scratch. The sequential
-  /// executor runs the loop through OpenMP when compiled in (the historic
-  /// setup behaviour); the threaded executor runs it on the SPMD team, which
-  /// is what the OpenMP-free TSAN build races.
+  /// executor runs the loop in order on slot 0; the threaded executor runs
+  /// it on the SPMD team.
   virtual void parallel_for(index_t n,
                             const std::function<void(index_t, int)>& f) = 0;
 
@@ -170,7 +169,7 @@ class SeqExecutor final : public Executor {
                                  int width) override;
   void parallel_for(index_t n,
                     const std::function<void(index_t, int)>& f) override;
-  [[nodiscard]] int parallel_for_width() const override;
+  [[nodiscard]] int parallel_for_width() const override { return 1; }
   [[nodiscard]] ExecStats stats() const override;
 
  private:

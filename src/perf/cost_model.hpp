@@ -19,7 +19,8 @@
 namespace fsaic {
 
 struct CostModelOptions {
-  /// OpenMP threads per simulated MPI rank (the paper's hybrid knob).
+  /// OpenMP threads per simulated MPI rank (the paper's hybrid knob). Only
+  /// priced here: the library runs no thread team inside a rank.
   int threads_per_rank = 1;
 
   /// Communication scheme the model prices. The default (flat, one rank
@@ -28,7 +29,9 @@ struct CostModelOptions {
   /// on-node edges are charged at the machine's intra-node alpha/beta; in
   /// node-aware mode cross-node edges additionally share one network
   /// latency per distinct peer node (the leader-aggregated coalescing).
-  CommConfig comm;
+  /// The `{}` lets designated initializers omit it without gcc 12's
+  /// -Wmissing-field-initializers.
+  CommConfig comm{};
 };
 
 /// Cost of one distributed operation, split by source.

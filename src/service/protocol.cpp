@@ -1,5 +1,9 @@
 #include "service/protocol.hpp"
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "common/format.hpp"
 #include "wgen/wgen.hpp"
@@ -27,6 +31,33 @@ bool get_bool(const JsonValue& v, const char* key, bool fallback) {
   const JsonValue* f = find_key(v, key);
   return f == nullptr ? fallback : f->as_bool();
 }
+
+/// An integer field in [lo, hi]. Fractional, out-of-range and non-finite
+/// numbers are rejected: casting them to an integer type would truncate
+/// silently or be undefined behaviour. |lo| and |hi| are at most 2^53, so
+/// they convert to double exactly.
+std::int64_t get_integer(const JsonValue& v, const char* key,
+                         std::int64_t fallback, std::int64_t lo,
+                         std::int64_t hi) {
+  const JsonValue* f = find_key(v, key);
+  if (f == nullptr) return fallback;
+  bool ok = false;
+  if (f->is_int()) {
+    ok = f->as_int() >= lo && f->as_int() <= hi;
+  } else {
+    const double x = f->as_double();
+    ok = x >= static_cast<double>(lo) && x <= static_cast<double>(hi) &&
+         std::trunc(x) == x;
+  }
+  FSAIC_REQUIRE(ok, "\"" + std::string(key) + "\" must be an integer in [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return f->is_int() ? f->as_int() : static_cast<std::int64_t>(f->as_double());
+}
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+/// Largest seed a JSON number carries exactly.
+constexpr std::int64_t kMaxSeed = std::int64_t{1} << 53;
 
 }  // namespace
 
@@ -58,8 +89,7 @@ SolveRequest parse_request(const JsonValue& v) {
   FSAIC_REQUIRE(
       req.filter_strategy == "dynamic" || req.filter_strategy == "static",
       "\"filter_strategy\" must be \"dynamic\" or \"static\"");
-  req.ranks = static_cast<rank_t>(get_number(v, "ranks", req.ranks));
-  FSAIC_REQUIRE(req.ranks >= 1, "\"ranks\" must be >= 1");
+  req.ranks = static_cast<rank_t>(get_integer(v, "ranks", req.ranks, 1, kIntMax));
   if (!req.generate.empty() && wgen::is_workload_spec(req.generate)) {
     // Workload spec strings ("stencil3d:nx=64,...") are validated — and
     // fully resolved against the requested rank count — at admission time.
@@ -74,14 +104,14 @@ SolveRequest parse_request(const JsonValue& v) {
                 "\"solver\" must be \"pcg\" or \"pipelined-cg\"");
   req.tol = static_cast<value_t>(get_number(v, "tol", req.tol));
   FSAIC_REQUIRE(req.tol > 0.0, "\"tol\" must be positive");
-  req.max_iterations =
-      static_cast<int>(get_number(v, "max_iterations", req.max_iterations));
-  FSAIC_REQUIRE(req.max_iterations >= 1, "\"max_iterations\" must be >= 1");
+  req.max_iterations = static_cast<int>(
+      get_integer(v, "max_iterations", req.max_iterations, 1, kIntMax));
   req.rhs_path = get_string(v, "rhs", "");
-  req.rhs_seed = static_cast<std::uint64_t>(
-      get_number(v, "rhs_seed", static_cast<double>(req.rhs_seed)));
+  req.rhs_seed = static_cast<std::uint64_t>(get_integer(
+      v, "rhs_seed", static_cast<std::int64_t>(req.rhs_seed), 0, kMaxSeed));
   req.deadline_ms = get_number(v, "deadline_ms", -1.0);
-  req.priority = static_cast<int>(get_number(v, "priority", 0.0));
+  req.priority =
+      static_cast<int>(get_integer(v, "priority", 0, kIntMin, kIntMax));
   req.warm_start = get_bool(v, "warm_start", false);
   req.want_history = get_bool(v, "history", false);
   return req;

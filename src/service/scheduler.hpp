@@ -1,11 +1,11 @@
 // Sharded, SLO-aware work queue: the dispatch layer of the solve service.
 //
-// RequestQueue (request_queue.hpp) is a plain FIFO; under mixed traffic that
-// makes multi-RHS batching accidental — two same-operator requests coalesce
-// only when they happen to sit adjacent in the queue when a worker arrives.
-// ShardedScheduler makes it systematic: every item carries a shard id (the
-// service uses `hash(batch_key) % workers`), each worker pops from its own
-// lane first, and only steals from other lanes when its own is empty. Same-
+// Under mixed traffic a plain FIFO makes multi-RHS batching accidental — two
+// same-operator requests coalesce only when they happen to sit adjacent in
+// the queue when a worker arrives. ShardedScheduler makes it systematic:
+// every item carries a shard id (the service uses `hash(batch_key) %
+// workers`), each worker pops from its own lane first, and only steals from
+// other lanes when its own is empty. Same-
 // operator requests therefore land on the same worker, which batches them
 // together and keeps that worker's slice of the factor cache hot.
 //
@@ -39,7 +39,7 @@ template <typename T, typename Traits>
 class ShardedScheduler {
  public:
   /// `capacity` bounds the total item count across all lanes (the admission
-  /// backpressure contract of RequestQueue, unchanged). `shards` >= 1.
+  /// backpressure contract). `shards` >= 1.
   ShardedScheduler(std::size_t capacity, std::size_t shards)
       : capacity_(capacity), lanes_(shards == 0 ? 1 : shards) {}
 

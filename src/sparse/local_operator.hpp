@@ -6,8 +6,8 @@
 // Two formats:
 //
 //   Csr  — the scalar reference. Bit-for-bit the historic kernels: the
-//          interior/boundary subsets run the serial per-row loop, the full
-//          apply runs the OpenMP row-parallel fsaic::spmv. This path defines
+//          interior/boundary subsets run the per-row subset loop, the full
+//          apply runs fsaic::spmv over the whole block. This path defines
 //          the numbers every fast path is differential-tested against.
 //   Sell — SELL-C-sigma (sparse/sell.hpp): unit-stride SIMD layout. The
 //          double-precision SELL kernel accumulates each row in the same

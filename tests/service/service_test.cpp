@@ -15,45 +15,12 @@
 #include "common/rng.hpp"
 #include "matgen/generators.hpp"
 #include "obs/report.hpp"
-#include "service/request_queue.hpp"
 #include "sparse/mm_io.hpp"
 
 namespace fsaic {
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------- queue --
-
-TEST(RequestQueueTest, RejectsWhenFull) {
-  RequestQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3)) << "bounded queue must reject at capacity";
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(RequestQueueTest, PopDrainsInOrderThenBlocksUntilClose) {
-  RequestQueue<int> q(4);
-  q.try_push(1);
-  q.try_push(2);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  q.close();
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_FALSE(q.try_push(9)) << "closed queue rejects pushes";
-}
-
-TEST(RequestQueueTest, DrainIfTakesOnlyMatchesAndPreservesOrder) {
-  RequestQueue<int> q(8);
-  for (int i = 1; i <= 6; ++i) q.try_push(i);
-  const auto evens = q.drain_if([](int i) { return i % 2 == 0; });
-  EXPECT_EQ(evens, (std::vector<int>{2, 4, 6}));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), 5);
-}
 
 // ------------------------------------------------------------- protocol --
 
@@ -107,6 +74,21 @@ TEST(ProtocolTest, RejectsInvalidRequests) {
       << "unsupported solver";
   EXPECT_THROW(parse(R"({"id":"a","matrix":"m","ranks":0})"), Error);
   EXPECT_THROW(parse(R"({"id":"a","matrix":"m","tol":-1.0})"), Error);
+  // Integer fields: out-of-range or fractional numbers are rejected, never
+  // cast (an out-of-range float-to-integer conversion is undefined).
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","ranks":1e12})"), Error);
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","ranks":2.5})"), Error);
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","max_iterations":1e300})"), Error);
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","max_iterations":0})"), Error);
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","rhs_seed":-1})"), Error);
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","rhs_seed":0.5})"), Error);
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","priority":3e9})"), Error);
+  EXPECT_THROW(parse(R"({"id":"a","matrix":"m","priority":-1.5})"), Error);
+  // Integral values written as floating-point numbers stay accepted.
+  const SolveRequest ok =
+      parse(R"({"id":"a","matrix":"m","ranks":4.0,"max_iterations":1e3})");
+  EXPECT_EQ(ok.ranks, 4);
+  EXPECT_EQ(ok.max_iterations, 1000);
 }
 
 TEST(ProtocolTest, ValidatesWorkloadSpecsAtParseTime) {

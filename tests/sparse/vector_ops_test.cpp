@@ -26,6 +26,19 @@ TEST(VectorOpsTest, DotAndNorms) {
   EXPECT_DOUBLE_EQ(dot(x, x), 25.0);
   EXPECT_DOUBLE_EQ(norm2(x), 5.0);
   EXPECT_DOUBLE_EQ(norm_inf(x), 4.0);
+
+  // Any re-association changes this sum: left to right, every 1.0 is
+  // absorbed by 2^53 (the spacing of doubles there is 2), so the exact
+  // answer 4096 never appears and the result is 0. A split reduction gives
+  // a different value.
+  std::vector<value_t> a(4098, 1.0);
+  a.front() = 0x1p53;
+  a.back() = -0x1p53;
+  const std::vector<value_t> ones(a.size(), 1.0);
+  value_t left_to_right = 0.0;
+  for (const value_t v : a) left_to_right += v;
+  EXPECT_EQ(left_to_right, 0.0);
+  EXPECT_EQ(dot(a, ones), left_to_right);
 }
 
 TEST(VectorOpsTest, Scale) {
