@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 
 #include "core/adaptive.hpp"
-#include "sparse/ops.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 
 int main() {
@@ -30,39 +30,39 @@ int main() {
                      "modeled.time"});
     const auto run_pattern = [&](const std::string& label,
                                  const SparsityPattern& p) {
-      const auto g = compute_fsai_factor(sys.matrix, p);
-      const DistCsr g_dist = DistCsr::distribute(g, sys.layout);
-      const DistCsr gt_dist = DistCsr::distribute(transpose(g), sys.layout);
-      const FactorizedPreconditioner precond(g_dist, gt_dist, label);
-      DistVector x(sys.layout);
-      const auto r = pcg_solve(sys.a_dist, sys.b, x, precond, cfg.solve);
+      const auto g = compute_fsai_factor(sys.assembled(), p);
+      const auto precond = stored_factor_preconditioner(
+          g, sys.layout(), CommConfig::from_env(), label);
+      DistVector x(sys.layout());
+      const auto r = pcg_solve(sys.a_dist, sys.b, x, *precond, cfg.solve);
       const double t =
           r.iterations *
-          cost.pcg_iteration_cost(sys.a_dist, g_dist, gt_dist).total();
+          cost.pcg_iteration_cost(sys.a_dist, precond->g(), precond->gt()).total();
       table.add_row({label, std::to_string(g.nnz()),
                      std::to_string(r.iterations) + (r.converged ? "" : "*"),
-                     std::to_string(g_dist.halo_update_bytes() +
-                                    gt_dist.halo_update_bytes()),
+                     std::to_string(precond->g().halo_update_bytes() +
+                                    precond->gt().halo_update_bytes()),
                      sci2(t)});
     };
 
-    run_pattern("fsai (lower(A))", fsai_base_pattern(sys.matrix, 1, 0.0));
+    run_pattern("fsai (lower(A))", fsai_base_pattern(sys.assembled(), 1, 0.0));
     {
       FsaiOptions opts;
       opts.extension = ExtensionMode::CommAware;
       opts.cache_line_bytes = machine.l1.line_bytes;
       opts.filter = 0.01;
       opts.filter_strategy = FilterStrategy::Dynamic;
-      const auto build = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+      const auto build =
+          build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
       run_pattern("fsaie-comm d0.01", build.final_pattern);
     }
     for (const int steps : {2, 4, 6}) {
       run_pattern(strformat("adaptive s=%d", steps),
-                  adaptive_fsai_pattern(
-                      sys.matrix, {.growth_steps = steps, .entries_per_step = 2}));
+                  adaptive_fsai_pattern(sys.assembled(), {.growth_steps = steps,
+                                                          .entries_per_step = 2}));
     }
 
-    std::cout << entry.name << " (" << sys.matrix.rows() << " rows, "
+    std::cout << entry.name << " (" << sys.assembled().rows() << " rows, "
               << sys.nranks << " ranks):\n";
     table.print(std::cout);
     std::cout << "\n";

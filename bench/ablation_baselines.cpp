@@ -53,10 +53,10 @@ int main() {
                      "modeled.time", "apply.halo.B"});
     const auto add_run = [&](const std::string& label, const Preconditioner& m,
                              double apply_cost, std::int64_t apply_halo) {
-      DistVector x(sys.layout);
+      DistVector x(sys.layout());
       const auto r = pcg_solve(sys.a_dist, sys.b, x, m, cfg.solve);
       const double iter_cost = cost.spmv_cost(sys.a_dist).total() +
-                               cost.blas1_cost(sys.layout, 3) +
+                               cost.blas1_cost(sys.layout(), 3) +
                                3.0 * cost.allreduce_cost(sys.nranks) + apply_cost;
       table.add_row({label,
                      std::to_string(r.iterations) + (r.converged ? "" : "*"),
@@ -68,11 +68,11 @@ int main() {
     add_run("none", IdentityPreconditioner{}, 0.0, 0);
     {
       const JacobiPreconditioner m(sys.a_dist);
-      add_run("jacobi", m, cost.blas1_cost(sys.layout, 1), 0);
+      add_run("jacobi", m, cost.blas1_cost(sys.layout(), 1), 0);
     }
     {
       const BlockJacobiPreconditioner m(sys.a_dist, 32);
-      add_run("block-jacobi(32)", m, cost.blas1_cost(sys.layout, 2), 0);
+      add_run("block-jacobi(32)", m, cost.blas1_cost(sys.layout(), 2), 0);
     }
     {
       const BlockIc0Preconditioner m(sys.a_dist);
@@ -80,14 +80,14 @@ int main() {
       for (rank_t p = 0; p < sys.nranks; ++p) {
         // The factor has the local block's lower-triangular nonzeros.
         fnnz.push_back((sys.a_dist.block(p).local_entries +
-                        sys.layout.local_size(p)) /
+                        sys.layout().local_size(p)) /
                        2);
       }
       add_run("block-ic0 (serial solves)", m,
-              ic_apply_cost(machine, sys.layout, fnnz), 0);
+              ic_apply_cost(machine, sys.layout(), fnnz), 0);
     }
     {
-      const SpaiPreconditioner m(sys.matrix, sys.layout);
+      const SpaiPreconditioner m(sys.assembled(), sys.layout());
       add_run("spai (symmetrized)", m, cost.spmv_cost(m.m()).total(),
               m.m().halo_update_bytes());
     }
@@ -96,7 +96,7 @@ int main() {
       // communication regularity as FSAI, quality from the polynomial
       // degree instead of the pattern.
       const auto cheb =
-          ChebyshevPreconditioner::with_estimated_spectrum(sys.matrix,
+          ChebyshevPreconditioner::with_estimated_spectrum(sys.assembled(),
                                                            sys.a_dist, 4);
       add_run("chebyshev(4)", cheb, 3.0 * cost.spmv_cost(sys.a_dist).total(),
               3 * sys.a_dist.halo_update_bytes());
@@ -107,7 +107,8 @@ int main() {
       opts.cache_line_bytes = machine.l1.line_bytes;
       opts.filter = 0.01;
       opts.filter_strategy = FilterStrategy::Dynamic;
-      const auto build = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+      const auto build =
+          build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
       const auto m = make_factorized_preconditioner(build, to_string(mode));
       add_run(to_string(mode), *m,
               cost.spmv_cost(build.g_dist).total() +
@@ -116,7 +117,7 @@ int main() {
                   build.gt_dist.halo_update_bytes());
     }
 
-    std::cout << entry.name << " (" << sys.matrix.rows() << " rows, "
+    std::cout << entry.name << " (" << sys.assembled().rows() << " rows, "
               << sys.nranks << " ranks):\n";
     table.print(std::cout);
     std::cout << "\n";

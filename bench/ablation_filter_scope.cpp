@@ -36,9 +36,9 @@ int main() {
         opts.filter_strategy = FilterStrategy::Dynamic;
         opts.filter_only_added = only_added;
         const auto build =
-            build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+            build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
         const auto precond = make_factorized_preconditioner(build, "scope");
-        DistVector x(sys.layout);
+        DistVector x(sys.layout());
         const auto r = pcg_solve(sys.a_dist, sys.b, x, *precond, cfg.solve);
         const CostModel cost(cfg.machine, {cfg.threads_per_rank});
         const double t =

@@ -5,7 +5,7 @@
 // the iteration, and this ablation shows how the modeled benefit scales.
 #include "bench_common.hpp"
 
-#include "common/rng.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pipelined_cg.hpp"
 
 int main() {
@@ -24,10 +24,7 @@ int main() {
   for (const rank_t nranks : {8, 16, 32, 64}) {
     const PartitionedSystem sys = partition_system(a, nranks);
     const DistCsr a_dist = DistCsr::distribute(sys.matrix, sys.layout);
-    Rng rng(13);
-    std::vector<value_t> bg(static_cast<std::size_t>(a.rows()));
-    for (auto& v : bg) v = rng.next_uniform(-1.0, 1.0);
-    const DistVector b(sys.layout, bg);
+    const DistVector b(sys.layout, synthesize_rhs(13, a.rows()));
 
     FsaiOptions opts;
     opts.extension = ExtensionMode::CommAware;

@@ -38,8 +38,8 @@ int main() {
     };
 
     for (const int overlap : {0, 1, 2, 4}) {
-      const SchwarzPreconditioner ras(sys.matrix, sys.layout, overlap);
-      DistVector x(sys.layout);
+      const SchwarzPreconditioner ras(sys.assembled(), sys.layout(), overlap);
+      DistVector x(sys.layout());
       const auto r = pcg_solve(sys.a_dist, sys.b, x, ras, cfg.solve);
       add_row(strformat("schwarz ovl=%d", overlap), r, ras.apply_halo_bytes(),
               ras.apply_halo_messages(), ras.max_extended_rows());
@@ -50,13 +50,14 @@ int main() {
       opts.cache_line_bytes = machine.l1.line_bytes;
       opts.filter = mode == ExtensionMode::None ? 0.0 : 0.01;
       opts.filter_strategy = FilterStrategy::Dynamic;
-      const auto build = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+      const auto build =
+          build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
       const auto precond = make_factorized_preconditioner(build, "m");
-      DistVector x(sys.layout);
+      DistVector x(sys.layout());
       const auto r = pcg_solve(sys.a_dist, sys.b, x, *precond, cfg.solve);
       index_t max_rows = 0;
       for (rank_t p = 0; p < sys.nranks; ++p) {
-        max_rows = std::max(max_rows, sys.layout.local_size(p));
+        max_rows = std::max(max_rows, sys.layout().local_size(p));
       }
       add_row(to_string(mode), r,
               build.g_dist.halo_update_bytes() + build.gt_dist.halo_update_bytes(),
@@ -65,7 +66,7 @@ int main() {
               max_rows);
     }
 
-    std::cout << entry.name << " (" << sys.matrix.rows() << " rows, "
+    std::cout << entry.name << " (" << sys.assembled().rows() << " rows, "
               << sys.nranks << " ranks):\n";
     table.print(std::cout);
     std::cout << "\n";

@@ -30,9 +30,10 @@ int main() {
     TextTable table({"config", "G.nnz", "iters", "halo.B(G)", "halo.msgs",
                      "modeled.time"});
     const auto run_config = [&](const std::string& label, const FsaiOptions& opts) {
-      const auto build = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+      const auto build =
+          build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
       const auto precond = make_factorized_preconditioner(build, label);
-      DistVector x(sys.layout);
+      DistVector x(sys.layout());
       const auto r = pcg_solve(sys.a_dist, sys.b, x, *precond, cfg.solve);
       const double t =
           r.iterations *
@@ -63,7 +64,7 @@ int main() {
     opts.filter = 0.05;
     run_config("level-2 + fsaie-comm", opts);
 
-    std::cout << entry.name << " (" << sys.matrix.rows() << " rows, "
+    std::cout << entry.name << " (" << sys.assembled().rows() << " rows, "
               << sys.nranks << " ranks):\n";
     table.print(std::cout);
     std::cout << "\n";

@@ -37,16 +37,17 @@ int main() {
       opts.cache_line_bytes = machine.l1.line_bytes;
       opts.filter = mode == ExtensionMode::None ? 0.0 : 0.01;
       opts.filter_strategy = FilterStrategy::Dynamic;
-      const auto build = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+      const auto build =
+          build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
       const auto precond = make_factorized_preconditioner(build, "m");
-      DistVector x(sys.layout);
+      DistVector x(sys.layout());
       const auto r = pcg_solve(sys.a_dist, sys.b, x, *precond, cfg.solve);
       const double solve_time =
           r.iterations *
           cost.pcg_iteration_cost(sys.a_dist, build.g_dist, build.gt_dist)
               .total();
       const double setup_time =
-          estimate_build_setup(build, sys.layout, machine, threads).time;
+          estimate_build_setup(build, sys.layout(), machine, threads).time;
       return std::pair{setup_time, solve_time};
     };
 

@@ -29,11 +29,14 @@ int main() {
     FsaiOptions opts;
     opts.cache_line_bytes = cfg.machine.l1.line_bytes;
     opts.extension = ExtensionMode::None;
-    const auto fsai = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+    const auto fsai =
+        build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
     opts.extension = ExtensionMode::CommAware;
-    const auto comm = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+    const auto comm =
+        build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
     opts.extension = ExtensionMode::FullHalo;
-    const auto naive = build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+    const auto naive =
+        build_fsai_preconditioner(sys.assembled(), sys.layout(), opts);
 
     const auto total_bytes = [](const FsaiBuildResult& b) {
       return b.g_dist.halo_update_bytes() + b.gt_dist.halo_update_bytes();
@@ -42,10 +45,10 @@ int main() {
       return b.g_dist.halo_update_messages() + b.gt_dist.halo_update_messages();
     };
     const ExtensionResult ext_comm =
-        extend_pattern(fsai.base_pattern, sys.layout, opts.cache_line_bytes,
+        extend_pattern(fsai.base_pattern, sys.layout(), opts.cache_line_bytes,
                        ExtensionMode::CommAware);
     const ExtensionResult ext_naive =
-        extend_pattern(fsai.base_pattern, sys.layout, opts.cache_line_bytes,
+        extend_pattern(fsai.base_pattern, sys.layout(), opts.cache_line_bytes,
                        ExtensionMode::FullHalo);
 
     if (total_bytes(comm) == total_bytes(fsai) &&

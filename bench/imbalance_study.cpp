@@ -12,8 +12,8 @@
 // case — and Algorithm 4 trims the overloaded rank back.
 #include "bench_common.hpp"
 
-#include "common/rng.hpp"
 #include "matgen/generators.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/coo.hpp"
 
@@ -71,10 +71,7 @@ int main() {
   const Layout layout(std::move(begin));
   const DistCsr a_dist = DistCsr::distribute(a, layout);
 
-  Rng rng(5333);
-  std::vector<value_t> bg(static_cast<std::size_t>(n));
-  for (auto& v : bg) v = rng.next_uniform(-1.0, 1.0);
-  const DistVector b(layout, bg);
+  const DistVector b(layout, synthesize_rhs(5333, n));
   const CostModel cost(machine_a64fx(), {.threads_per_rank = 8});
 
   TextTable table({"method", "imb.G(avg/max)", "iters", "iter.dec%",

@@ -193,8 +193,7 @@ int main() {
   std::map<std::string, std::int64_t> mix_counts;
   for (std::int64_t i = 0; i < n_requests; ++i) {
     SolveRequest req;
-    req.id = "r";
-    req.id += std::to_string(i + 1);
+    req.id = strformat("r%lld", static_cast<long long>(i + 1));
     double pick = rng.next_uniform() * mix_total;
     req.generate = mix.back().op;
     for (const auto& m : mix) {

@@ -32,12 +32,12 @@
 #include <cstdlib>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/pattern_extend.hpp"
 #include "dist/comm_scheme.hpp"
 #include "dist/dist_csr.hpp"
 #include "obs/exposition.hpp"
 #include "obs/json.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 #include "solver/preconditioner.hpp"
 #include "sparse/fingerprint.hpp"
@@ -144,17 +144,14 @@ int main() {
       const int rpn = node_aware ? std::min<rank_t>(4, nranks) : 1;
       const CommConfig comm{node_aware ? CommMode::NodeAware : CommMode::Flat,
                             rpn};
-      const wgen::ResolvedWorkload w = wgen::resolve_workload(
-          wgen::parse_workload_spec(fixed_spec), nranks);
       wgen::WgenStats stats;
-      const DistCsr a = wgen::generate_dist(w, nranks, comm, &stats);
-      const MatrixFingerprint fp = fingerprint_rank_local(a);
+      const SolveSystem sys =
+          generate_system(fixed_spec, nranks, comm, nullptr, &stats);
+      const DistCsr& a = sys.a_dist;
+      const MatrixFingerprint fp = sys.fingerprint();
 
-      Rng rng(2022);
-      std::vector<value_t> bg(static_cast<std::size_t>(w.rows));
-      for (auto& v : bg) v = rng.next_uniform(-1.0, 1.0);
-      const DistVector b(a.row_layout(), bg);
-      DistVector x(a.row_layout());
+      const DistVector b = sys.to_layout(synthesize_rhs(2022, stats.rows));
+      DistVector x(sys.layout());
       const JacobiPreconditioner jacobi(a);
       const SolveResult r =
           pcg_solve(a, b, x, jacobi,

@@ -10,10 +10,10 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "common/rng.hpp"
 #include "core/fsai_driver.hpp"
 #include "harness/table.hpp"
 #include "matgen/generators.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "sparse/ops.hpp"
 #include "solver/pcg.hpp"
 
@@ -30,10 +30,7 @@ int main(int argc, char** argv) {
   for (const rank_t nranks : {4, 8, 16}) {
     const PartitionedSystem sys = partition_system(a, nranks);
     const DistCsr a_dist = DistCsr::distribute(sys.matrix, sys.layout);
-    Rng rng(77);
-    std::vector<value_t> bg(static_cast<std::size_t>(a.rows()));
-    for (auto& v : bg) v = rng.next_uniform(-1.0, 1.0);
-    const DistVector b(sys.layout, bg);
+    const DistVector b(sys.layout, synthesize_rhs(77, a.rows()));
 
     TextTable table({"method", "+%NNZ", "halo.bytes(G+GT)", "halo.msgs",
                      "iterations"});

@@ -6,12 +6,12 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "common/rng.hpp"
 #include "core/fsai_driver.hpp"
 #include "harness/table.hpp"
 #include "matgen/generators.hpp"
 #include "sparse/ops.hpp"
 #include "perf/cost_model.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 
 int main(int argc, char** argv) {
@@ -27,10 +27,7 @@ int main(int argc, char** argv) {
   const DistCsr a_dist = DistCsr::distribute(a, layout);
   const CostModel cost(machine_a64fx(), {.threads_per_rank = 8});
 
-  Rng rng(31);
-  std::vector<value_t> bg(static_cast<std::size_t>(n));
-  for (auto& v : bg) v = rng.next_uniform(-1.0, 1.0);
-  const DistVector b(layout, bg);
+  const DistVector b(layout, synthesize_rhs(31, n));
 
   std::cout << "graded2d " << grid << "x" << grid
             << " on a skewed 4-rank layout (rank 0 owns 40% of rows)\n\n";

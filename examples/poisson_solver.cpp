@@ -16,11 +16,11 @@
 #include <iostream>
 #include <string>
 
-#include "common/rng.hpp"
 #include "core/fsai_driver.hpp"
 #include "matgen/generators.hpp"
 #include "sparse/ops.hpp"
 #include "perf/cost_model.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 
 namespace {
@@ -57,14 +57,6 @@ CsrMatrix make_problem(const Options& o) {
                              tile_permutation_2d(o.n, o.n, 4, 2));
   }
   throw Error("unknown problem: " + o.problem);
-}
-
-ExtensionMode parse_method(const std::string& m) {
-  if (m == "fsai") return ExtensionMode::None;
-  if (m == "fsaie") return ExtensionMode::LocalOnly;
-  if (m == "fsaie-comm") return ExtensionMode::CommAware;
-  if (m == "fsaie-full") return ExtensionMode::FullHalo;
-  throw Error("unknown method: " + m);
 }
 
 }  // namespace
@@ -110,22 +102,17 @@ int main(int argc, char** argv) {
   const DistCsr a_dist = DistCsr::distribute(sys.matrix, sys.layout);
   std::cout << o.ranks << " ranks, edge cut " << sys.edge_cut << "\n";
 
-  FsaiOptions fopts;
-  fopts.extension = parse_method(o.method);
+  FsaiOptions fopts = fsai_method_options(
+      o.method, o.filter,
+      o.dynamic ? FilterStrategy::Dynamic : FilterStrategy::Static);
   fopts.cache_line_bytes = machine.l1.line_bytes;
-  fopts.filter = o.filter;
-  fopts.filter_strategy =
-      o.dynamic ? FilterStrategy::Dynamic : FilterStrategy::Static;
   const FsaiBuildResult build =
       build_fsai_preconditioner(sys.matrix, sys.layout, fopts);
   std::cout << o.method << " factor: " << build.g.nnz() << " entries (+"
             << build.nnz_increase_pct << "% over FSAI), imbalance index "
             << build.imbalance_avg() << "\n";
 
-  Rng rng(123);
-  std::vector<value_t> bg(static_cast<std::size_t>(a.rows()));
-  for (auto& v : bg) v = rng.next_uniform(-1.0, 1.0);
-  const DistVector b(sys.layout, bg);
+  const DistVector b(sys.layout, synthesize_rhs(123, a.rows()));
   DistVector x(sys.layout);
   const auto precond = make_factorized_preconditioner(build, o.method);
   const SolveResult r = pcg_solve(a_dist, b, x, *precond,

@@ -5,10 +5,10 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "common/rng.hpp"
 #include "core/fsai_driver.hpp"
 #include "matgen/generators.hpp"
 #include "perf/cost_model.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 
 int main(int argc, char** argv) {
@@ -29,10 +29,7 @@ int main(int argc, char** argv) {
             << ", imbalance " << sys.partition_imbalance << "\n";
 
   // 3. A reproducible right-hand side.
-  Rng rng(2022);
-  std::vector<value_t> b_global(static_cast<std::size_t>(a.rows()));
-  for (auto& v : b_global) v = rng.next_uniform(-1.0, 1.0);
-  const DistVector b(sys.layout, b_global);
+  const DistVector b(sys.layout, synthesize_rhs(2022, a.rows()));
 
   // 4. Solve with each preconditioner flavour.
   const CostModel cost(machine_skylake(), {.threads_per_rank = 8});

@@ -5,11 +5,9 @@
 #include <cmath>
 
 #include "common/format.hpp"
-#include "common/rng.hpp"
 #include "exec/executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "sparse/ops.hpp"
 #include "sparse/vector_ops.hpp"
 
 namespace fsaic {
@@ -29,42 +27,26 @@ const PreparedSystem& ExperimentRunner::prepare(const SuiteEntry& entry) {
   const auto it = systems_.find(entry.name);
   if (it != systems_.end()) return *it->second;
 
-  auto sys = std::make_unique<PreparedSystem>();
-  sys->name = entry.name;
   const CsrMatrix a = entry.generate();
   FSAIC_CHECK(a.is_symmetric(1e-12 * a.max_abs()),
               "suite generator produced a non-symmetric matrix: " + entry.name);
 
   const auto nranks = static_cast<rank_t>(std::clamp<offset_t>(
       a.nnz() / config_.nnz_per_rank, config_.min_ranks, config_.max_ranks));
-  sys->nranks = nranks;
-
-  PartitionedSystem part = partition_system(a, nranks, config_.seed);
-  sys->matrix = std::move(part.matrix);
-  sys->layout = std::move(part.layout);
-  sys->a_dist = DistCsr::distribute(sys->matrix, sys->layout);
+  auto sys = std::make_unique<PreparedSystem>(PreparedSystem{
+      distribute_system(a, nranks, CommConfig::from_env(), config_.seed),
+      entry.name, DistVector{}, nranks});
 
   // Random right-hand side normalized to the matrix max norm, zero initial
   // guess (Section 5.1). The RHS is seeded per matrix for reproducibility
   // and generated in the *original* ordering, then permuted, so it does not
   // depend on the rank count. FNV-1a rather than std::hash keeps the stream
   // identical across standard libraries.
-  std::uint64_t name_hash = 0xcbf29ce484222325ull;
-  for (const char c : entry.name) {
-    name_hash = (name_hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  Rng rng(config_.seed ^ name_hash);
-  std::vector<value_t> b_orig(static_cast<std::size_t>(a.rows()));
-  for (auto& v : b_orig) {
-    v = rng.next_uniform(-1.0, 1.0);
-  }
-  const value_t bmax = norm_inf(b_orig);
-  if (bmax > 0.0) scale(a.max_abs() / bmax, b_orig);
-  std::vector<value_t> b_perm(b_orig.size());
-  for (std::size_t i = 0; i < b_orig.size(); ++i) {
-    b_perm[static_cast<std::size_t>(part.perm[i])] = b_orig[i];
-  }
-  sys->b = DistVector(sys->layout, b_perm);
+  std::vector<value_t> b = synthesize_rhs(
+      config_.seed ^ fnv1a64(entry.name.data(), entry.name.size()), a.rows());
+  const value_t bmax = norm_inf(b);
+  if (bmax > 0.0) scale(a.max_abs() / bmax, b);
+  sys->b = sys->to_layout(b);
 
   return *systems_.emplace(entry.name, std::move(sys)).first->second;
 }
@@ -86,10 +68,11 @@ const RunRecord& ExperimentRunner::run(const SuiteEntry& entry,
   fopts.exec = config_.solve.exec;
   using clock = std::chrono::steady_clock;
   const auto t_setup = clock::now();
-  FsaiBuildResult build = build_fsai_preconditioner(sys.matrix, sys.layout, fopts);
+  FsaiBuildResult build =
+      build_fsai_preconditioner(sys.assembled(), sys.layout(), fopts);
 
   const auto precond = make_factorized_preconditioner(build, method.label());
-  DistVector x(sys.layout);
+  DistVector x(sys.layout());
   const auto t_solve = clock::now();
   const SolveResult solve = pcg_solve(sys.a_dist, sys.b, x, *precond, config_.solve);
   const auto t_done = clock::now();
@@ -103,8 +86,8 @@ const RunRecord& ExperimentRunner::run(const SuiteEntry& entry,
   rec->matrix = entry.name;
   rec->method = method.label();
   rec->nranks = sys.nranks;
-  rec->rows = sys.matrix.rows();
-  rec->matrix_nnz = sys.matrix.nnz();
+  rec->rows = sys.assembled().rows();
+  rec->matrix_nnz = sys.assembled().nnz();
   rec->converged = solve.converged;
   rec->iterations = solve.iterations;
   rec->iter_cost = iter_cost.total();

@@ -1,7 +1,8 @@
 // Shared experiment harness: prepares suite matrices (generate → partition →
-// distribute → right-hand side), runs (method, filter) configurations to
-// convergence, attaches modeled time from the machine cost model, memoizes
-// everything in-process, and aggregates the paper's summary statistics.
+// distribute → right-hand side, through pipeline/solve_pipeline.hpp), runs
+// (method, filter) configurations to convergence, attaches modeled time
+// from the machine cost model, memoizes everything in-process, and
+// aggregates the paper's summary statistics.
 #pragma once
 
 #include <map>
@@ -14,6 +15,7 @@
 #include "matgen/suite.hpp"
 #include "obs/json.hpp"
 #include "perf/cost_model.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 
 namespace fsaic {
@@ -89,12 +91,10 @@ struct RunRecord {
   std::int64_t factor_degenerate_rows = 0;
 };
 
-/// A prepared (partitioned + distributed) linear system.
-struct PreparedSystem {
+/// A prepared suite system: the partitioned, distributed operator plus the
+/// paper's scaled right-hand side in the distributed numbering.
+struct PreparedSystem : SolveSystem {
   std::string name;
-  CsrMatrix matrix;      ///< permuted global matrix
-  Layout layout;
-  DistCsr a_dist;
   DistVector b;
   rank_t nranks = 0;
 };

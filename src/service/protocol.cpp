@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/format.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "wgen/wgen.hpp"
 
 namespace fsaic {
@@ -79,10 +80,7 @@ SolveRequest parse_request(const JsonValue& v) {
   FSAIC_REQUIRE(req.matrix_path.empty() != req.generate.empty(),
                 "request needs exactly one of \"matrix\" or \"generate\"");
   req.method = get_string(v, "method", req.method);
-  FSAIC_REQUIRE(req.method == "fsai" || req.method == "fsaie" ||
-                    req.method == "fsaie-comm" || req.method == "fsaie-full",
-                "unsupported method \"" + req.method +
-                    "\" (service methods: fsai|fsaie|fsaie-comm|fsaie-full)");
+  (void)fsai_method_options(req.method);  // the service builds FSAI only
   req.filter = static_cast<value_t>(get_number(v, "filter", req.filter));
   FSAIC_REQUIRE(req.filter >= 0.0, "\"filter\" must be >= 0");
   req.filter_strategy = get_string(v, "filter_strategy", req.filter_strategy);

@@ -5,19 +5,16 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
-#include <numeric>
 #include <ostream>
 
 #include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/rng.hpp"
-#include "core/fsai_driver.hpp"
 #include "exec/exec_policy.hpp"
 #include "matgen/suite.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "solver/pcg.hpp"
 #include "solver/pipelined_cg.hpp"
 #include "sparse/mm_io.hpp"
-#include "sparse/ops.hpp"
 #include "wgen/wgen.hpp"
 
 namespace fsaic {
@@ -37,32 +34,6 @@ double us_between(std::chrono::steady_clock::time_point from,
 double us_since_epoch(std::chrono::steady_clock::time_point tp) {
   return std::chrono::duration<double, std::micro>(tp.time_since_epoch())
       .count();
-}
-
-ExtensionMode extension_of(const std::string& method) {
-  if (method == "fsai") return ExtensionMode::None;
-  if (method == "fsaie") return ExtensionMode::LocalOnly;
-  if (method == "fsaie-comm") return ExtensionMode::CommAware;
-  FSAIC_CHECK(method == "fsaie-full", "unexpected method " + method);
-  return ExtensionMode::FullHalo;
-}
-
-/// The paper's synthesized right-hand side (the exact sequence `fsaic
-/// solve` uses), permuted into the partitioned numbering.
-std::vector<value_t> synthesize_rhs(std::uint64_t seed, index_t n) {
-  Rng rng(seed);
-  std::vector<value_t> b(static_cast<std::size_t>(n));
-  for (auto& v : b) v = rng.next_uniform(-1.0, 1.0);
-  return b;
-}
-
-std::vector<value_t> permute_rhs(std::span<const value_t> global,
-                                 std::span<const index_t> perm) {
-  std::vector<value_t> out(global.size());
-  for (std::size_t i = 0; i < global.size(); ++i) {
-    out[static_cast<std::size_t>(perm[i])] = global[i];
-  }
-  return out;
 }
 
 const char* tier_string(CacheTier tier) {
@@ -424,55 +395,39 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     }
   };
 
-  // Shared batch setup: load + partition the operator, then acquire the
-  // factor — from the RAM tier when resident, reloaded from the disk store
-  // on a RAM miss, freshly built otherwise. Everything downstream (halo
-  // scheme, distributed G / G^T, the preconditioner) is shared by the whole
-  // batch, and the factor bits are identical on all three paths, so the
-  // residual histories are too.
+  // Shared batch setup (pipeline/solve_pipeline.hpp): the system stage
+  // loads or generates the operator, partitions and distributes it; its
+  // fingerprint keys the factor cache, and the factor comes from the RAM
+  // tier when resident, is reloaded from the disk store on a RAM miss, and
+  // is freshly built otherwise. Everything downstream (halo scheme,
+  // distributed G / G^T, the preconditioner) is shared by the whole batch,
+  // and the factor bits are identical on all three paths, so the residual
+  // histories are too.
   const SolveRequest& lead = live.front().request;
-  CsrMatrix a;
+  const CommConfig comm = CommConfig::from_env();
   CacheTier tier = CacheTier::Miss;
   std::string fingerprint_hex;
   double setup_us = 0.0;
   std::unique_ptr<FactorizedPreconditioner> precond;
-  std::unique_ptr<DistCsr> a_dist;
-  PartitionedSystem sys;
-  index_t global_rows = 0;
-  // Workload-spec operators ("stencil3d:nx=64,...") generate rank-locally:
-  // no global CsrMatrix exists on this path, each simulated rank
-  // materializes only its own rows (suite names and files keep the
-  // assembled path and its graph partitioning).
-  const bool rank_local_gen =
-      lead.matrix_path.empty() && wgen::is_workload_spec(lead.generate);
+  SolveSystem system;
+  // The input matrix is held for the whole batch: releasing it before the
+  // solves measured 13-17 % slower serve-mix solves (bench/e2e, 4 vCPUs),
+  // with the cause not isolated.
+  CsrMatrix a;
   try {
-    if (rank_local_gen) {
-      const auto w = wgen::resolve_workload(
-          wgen::parse_workload_spec(lead.generate), lead.ranks);
-      a_dist = std::make_unique<DistCsr>(wgen::generate_dist(
-          w, lead.ranks, CommConfig::from_env(), nullptr, exec));
-      sys.layout = a_dist->row_layout();
-      // Generated operators are born in blocked order: identity permutation.
-      sys.perm.resize(static_cast<std::size_t>(sys.layout.global_size()));
-      std::iota(sys.perm.begin(), sys.perm.end(), index_t{0});
+    if (lead.matrix_path.empty() && wgen::is_workload_spec(lead.generate)) {
+      // Workload specs ("stencil3d:nx=64,...") generate rank-locally: each
+      // simulated rank materializes only its own rows (suite names and
+      // files keep the assembled path and its graph partitioning).
+      system = generate_system(lead.generate, lead.ranks, comm, exec);
     } else {
       a = lead.matrix_path.empty() ? suite_entry(lead.generate).generate()
                                    : read_matrix_market_file(lead.matrix_path);
-      FSAIC_REQUIRE(a.rows() == a.cols(), "matrix must be square");
-      FSAIC_REQUIRE(a.is_symmetric(1e-10 * a.max_abs()),
-                    "matrix must be symmetric (CG requires SPD)");
-      sys = partition_system(a, lead.ranks);
-      a_dist = std::make_unique<DistCsr>(DistCsr::distribute(sys.matrix, sys.layout));
+      system = distribute_system(a, lead.ranks, comm);
     }
-    global_rows = sys.layout.global_size();
 
     const auto t_setup = std::chrono::steady_clock::now();
-    // The streamed rank-local fingerprint equals fingerprint_of() of the
-    // assembled operator, so generated operators share the FactorCache and
-    // disk store keying with file/suite operators unchanged.
-    const MatrixFingerprint fp = rank_local_gen
-                                     ? fingerprint_rank_local(*a_dist)
-                                     : fingerprint_of(sys.matrix);
+    const MatrixFingerprint fp = system.fingerprint();
     fingerprint_hex = hash_hex(fp.content_hash);
     const FactorCache::Key key{
         fp, lead.method + "|" +
@@ -486,34 +441,27 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
                             1);
     }
     if (factor != nullptr) {
-      const DistCsr g_dist = DistCsr::distribute(factor->g, factor->layout);
-      const DistCsr gt_dist =
-          DistCsr::distribute(transpose(factor->g), factor->layout);
-      precond = std::make_unique<FactorizedPreconditioner>(
-          g_dist, gt_dist, lead.method + "(cached)");
+      precond = stored_factor_preconditioner(factor->g, factor->layout, comm,
+                                             lead.method + "(cached)");
     } else {
-      FsaiOptions opts;
-      opts.extension = extension_of(lead.method);
-      opts.filter = lead.method == "fsai" ? value_t{0} : lead.filter;
-      opts.filter_strategy = lead.filter_strategy == "static"
-                                 ? FilterStrategy::Static
-                                 : FilterStrategy::Dynamic;
+      FsaiOptions opts = fsai_method_options(
+          lead.method, lead.filter,
+          lead.filter_strategy == "static" ? FilterStrategy::Static
+                                           : FilterStrategy::Dynamic);
       opts.exec = exec;
       opts.trace = trace;
-      if (rank_local_gen) {
-        // The FSAI setup is the one stage still built from assembled rows.
-        // A factor-cache hit (RAM or disk) skips this branch entirely, so
-        // repeat traffic against a generated operator stays global-free.
-        sys.matrix = a_dist->to_global();
-      }
+      // The FSAI setup is the one stage still built from assembled rows,
+      // so a generated operator is assembled here. A factor-cache hit (RAM
+      // or disk) skips this branch entirely, so repeat traffic against a
+      // generated operator stays global-free.
       FsaiBuildResult build =
-          build_fsai_preconditioner(sys.matrix, sys.layout, opts);
+          build_fsai_preconditioner(system.assembled(), system.layout(), opts);
       const double build_seconds =
           us_between(t_setup, std::chrono::steady_clock::now()) * 1e-6;
       precond = std::make_unique<FactorizedPreconditioner>(
           build.g_dist, build.gt_dist, lead.method);
       cache_.put(key, std::make_shared<CachedFactor>(CachedFactor{
-                          std::move(build.g), sys.layout, build_seconds}));
+                          std::move(build.g), system.layout(), build_seconds}));
     }
     setup_us = us_between(t_setup, std::chrono::steady_clock::now());
     if (trace != nullptr) {
@@ -548,24 +496,18 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     r.fingerprint = fingerprint_hex;
     r.setup_us = setup_us;
     try {
-      std::vector<value_t> b_global;
-      if (req.rhs_path.empty()) {
-        b_global = synthesize_rhs(req.rhs_seed, global_rows);
-      } else {
-        b_global = read_matrix_market_vector_file(req.rhs_path);
-        FSAIC_REQUIRE(
-            b_global.size() == static_cast<std::size_t>(global_rows),
-            "right-hand side length " + std::to_string(b_global.size()) +
-                " does not match matrix rows " + std::to_string(global_rows));
-      }
-      const DistVector b(sys.layout, permute_rhs(b_global, sys.perm));
+      const index_t rows = system.layout().global_size();
+      const std::vector<value_t> b_global =
+          req.rhs_path.empty() ? synthesize_rhs(req.rhs_seed, rows)
+                               : read_rhs(req.rhs_path, rows);
+      const DistVector b = system.to_layout(b_global);
 
       // Warm start: every converged solve is remembered under its
       // operator/solver/tolerance/RHS key, but a request only SEEDS x0 from
       // that cache when it opts in (`warm_start: true`) — convergence is
       // then anchored to the original cold solve's residual target instead
       // of the (already tiny) warm ||r_0||.
-      DistVector x(sys.layout);
+      DistVector x(system.layout());
       double reference = 0.0;
       bool warm = false;
       std::string solution_key;
@@ -580,7 +522,7 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
         if (auto cached = solution_get(solution_key)) {
           // Same operator + rank count => same partition, so the global
           // solution scatters back onto the layout unchanged.
-          x = DistVector(sys.layout, permute_rhs(cached->x, sys.perm));
+          x = system.to_layout(cached->x);
           reference = cached->reference_residual;
           warm = reference > 0.0;
         }
@@ -594,20 +536,14 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
       const auto t_solve = std::chrono::steady_clock::now();
       const SolveResult result =
           req.solver == "pipelined-cg"
-              ? pcg_solve_pipelined(*a_dist, b, x, *precond, solve_opts)
-              : pcg_solve(*a_dist, b, x, *precond, solve_opts);
+              ? pcg_solve_pipelined(system.a_dist, b, x, *precond, solve_opts)
+              : pcg_solve(system.a_dist, b, x, *precond, solve_opts);
       const auto t_done = std::chrono::steady_clock::now();
       if (!solution_key.empty() && result.converged) {
-        // Remember the solution in global (pre-partition) numbering; the
+        // Remember the solution in input (pre-partition) numbering; the
         // reference stays the cold solve's ||r_0|| across refreshes.
-        std::vector<value_t> x_global(
-            static_cast<std::size_t>(sys.layout.global_size()));
-        const auto x_part = x.to_global();
-        for (std::size_t i = 0; i < x_global.size(); ++i) {
-          x_global[i] = x_part[static_cast<std::size_t>(sys.perm[i])];
-        }
         solution_put(solution_key,
-                     CachedSolution{std::move(x_global),
+                     CachedSolution{system.from_layout(x),
                                     warm ? reference
                                          : static_cast<double>(
                                                result.initial_residual)});

@@ -40,7 +40,7 @@ TEST(ExperimentTest, PrepareIsCachedAndDeterministic) {
   EXPECT_EQ(&s1, &s2);  // same object: cached
   // poisson2d(18,18) has 1548 nnz → 1548/400 = 3 ranks under the rule.
   EXPECT_EQ(s1.nranks, 3);
-  EXPECT_EQ(s1.matrix.rows(), 18 * 18);
+  EXPECT_EQ(s1.assembled().rows(), 18 * 18);
   // RHS normalized to the matrix max norm.
   value_t bmax = 0.0;
   for (rank_t p = 0; p < s1.nranks; ++p) {
@@ -48,7 +48,7 @@ TEST(ExperimentTest, PrepareIsCachedAndDeterministic) {
       bmax = std::max(bmax, std::abs(v));
     }
   }
-  EXPECT_NEAR(bmax, s1.matrix.max_abs(), 1e-12);
+  EXPECT_NEAR(bmax, s1.assembled().max_abs(), 1e-12);
 }
 
 TEST(ExperimentTest, RunRecordsConsistentMetrics) {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/format.hpp"
+
 namespace fsaic {
 namespace {
 
@@ -27,7 +29,8 @@ using Sched = ShardedScheduler<Job, JobTraits>;
 
 Job job(std::int64_t seq, std::size_t shard, int priority = 0,
         double deadline_us = -1.0) {
-  return Job{"j" + std::to_string(seq), shard, priority, deadline_us, seq};
+  return Job{strformat("j%lld", static_cast<long long>(seq)), shard, priority,
+             deadline_us, seq};
 }
 
 TEST(ShardedSchedulerTest, BoundsTotalCapacityAcrossLanes) {

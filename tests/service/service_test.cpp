@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "matgen/generators.hpp"
 #include "obs/report.hpp"
@@ -120,7 +121,7 @@ TEST(ProtocolTest, BatchKeyIgnoresSolveOnlyFields) {
   a.id = "a";
   a.matrix_path = "m.mtx";
   SolveRequest b = a;
-  b.id = "b";
+  b.id = std::string("b");  // not `= "b"`: gcc 12 -Wrestrict false positive
   b.rhs_seed = 99;
   b.tol = 1e-4;
   b.want_history = true;
@@ -787,7 +788,7 @@ TEST_F(ServiceTest, ServeRequestsAnswersEveryLine) {
 TEST_F(ServiceTest, WorkerCountDoesNotChangeResults) {
   std::string requests;
   for (int i = 0; i < 6; ++i) {
-    SolveRequest req = request("r" + std::to_string(i));
+    SolveRequest req = request(strformat("r%d", i));
     req.rhs_seed = static_cast<std::uint64_t>(1000 + i);
     requests += to_json(req).dump() + "\n";
   }
@@ -813,7 +814,7 @@ TEST_F(ServiceTest, PrioritizedTrafficSolvesIdenticallyAcrossWorkerCounts) {
   // stay bit-identical for any worker count (acceptance criterion).
   std::string requests;
   for (int i = 0; i < 6; ++i) {
-    SolveRequest req = request("p" + std::to_string(i));
+    SolveRequest req = request(strformat("p%d", i));
     req.rhs_seed = static_cast<std::uint64_t>(2000 + i);
     req.priority = i % 3;
     if (i % 2 == 0) req.deadline_ms = 60000.0;

@@ -112,13 +112,11 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/format.hpp"
-#include "common/rng.hpp"
 #include "core/factor_io.hpp"
 #include "core/fsai_driver.hpp"
 #include "exec/exec_policy.hpp"
@@ -134,6 +132,7 @@
 #include "obs/trace.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/setup_cost.hpp"
+#include "pipeline/solve_pipeline.hpp"
 #include "service/solve_service.hpp"
 #include "solver/ic0.hpp"
 #include "solver/gmres.hpp"
@@ -196,6 +195,19 @@ Args parse_args(int argc, char** argv, int first) {
   return args;
 }
 
+/// Communication scheme of `solve` and `gen`: environment first (FSAIC_COMM,
+/// FSAIC_RANKS_PER_NODE), explicit --comm / --ranks-per-node win.
+CommConfig comm_from_args(const Args& args) {
+  CommConfig comm = CommConfig::from_env();
+  if (args.has("comm")) {
+    comm.mode = comm_mode_from_string(args.get("comm", "flat"));
+  }
+  if (args.has("ranks-per-node")) {
+    comm.ranks_per_node = std::max(1, std::stoi(args.get("ranks-per-node", "1")));
+  }
+  return comm;
+}
+
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) return usage();
   const CsrMatrix a = read_matrix_market_file(args.positional[0]);
@@ -236,13 +248,6 @@ int cmd_solve(const Args& args) {
   if (!gen_mode && args.positional.empty()) return usage();
   FSAIC_REQUIRE(!gen_mode || args.positional.empty(),
                 "--gen replaces the positional matrix file");
-  CsrMatrix a;  // stays empty with --gen: the operator is generated rank-local
-  if (!gen_mode) {
-    a = read_matrix_market_file(args.positional[0]);
-    FSAIC_REQUIRE(a.rows() == a.cols(), "matrix must be square");
-    FSAIC_REQUIRE(a.is_symmetric(1e-10 * a.max_abs()),
-                  "matrix must be symmetric (CG requires SPD)");
-  }
   const std::string operator_name =
       gen_mode ? args.get("gen", "") : args.positional[0];
 
@@ -259,14 +264,18 @@ int cmd_solve(const Args& args) {
   const value_t filter = std::stod(args.get("filter", "0.01"));
   const value_t tol = std::stod(args.get("tol", "1e-8"));
   const std::string method = args.get("method", "fsaie-comm");
-  // Communication scheme: environment first, explicit flags win.
-  CommConfig comm = CommConfig::from_env();
-  if (args.has("comm")) {
-    comm.mode = comm_mode_from_string(args.get("comm", "flat"));
+  // Build options of the FSAI family; an unknown method name fails here,
+  // before the operator is read or generated.
+  FsaiOptions fsai_opts;
+  if (method != "none" && method != "jacobi" && method != "block-jacobi" &&
+      method != "block-ic0" && method != "schwarz") {
+    fsai_opts = fsai_method_options(
+        method, filter,
+        args.has("static") ? FilterStrategy::Static : FilterStrategy::Dynamic);
   }
-  if (args.has("ranks-per-node")) {
-    comm.ranks_per_node = std::max(1, std::stoi(args.get("ranks-per-node", "1")));
-  }
+  CsrMatrix a;  // stays empty with --gen: the operator is generated rank-local
+  if (!gen_mode) a = read_matrix_market_file(operator_name);
+  CommConfig comm = comm_from_args(args);
 
   // Observability attachments: a trace recorder shared by the setup pipeline
   // and the solver, and a collecting sink feeding the JSONL report. Both are
@@ -287,12 +296,14 @@ int cmd_solve(const Args& args) {
     report = std::make_unique<RunReportWriter>(args.get("report", ""));
   }
 
+  // File row i is row rcm[i] of the reordered matrix (empty without --rcm).
+  std::vector<index_t> rcm;
   if (args.has("rcm")) {
     FSAIC_REQUIRE(!gen_mode,
                   "--rcm needs a matrix file: generated operators are "
                   "assembled rank-local in their natural row order");
-    const Graph g = Graph::from_pattern(a.pattern());
-    a = permute_symmetric(a, rcm_permutation(g));
+    rcm = rcm_permutation(Graph::from_pattern(a.pattern()));
+    a = permute_symmetric(a, rcm);
     std::cout << "applied RCM: bandwidth now " << pattern_bandwidth(a.pattern())
               << "\n";
   }
@@ -316,25 +327,16 @@ int cmd_solve(const Args& args) {
         factor_precision_from_string(args.get("precision", "double"));
   }
 
-  PartitionedSystem sys;
+  // With --gen each simulated rank generates only its own row block, so no
+  // global matrix exists and peak per-rank memory is O(rows/rank).
   wgen::WgenStats gen_stats;
-  DistCsr a_dist = [&] {
-    if (gen_mode) {
-      // Rank-local generation: each simulated rank assembles only its own
-      // row block, so no global matrix exists and peak per-rank memory is
-      // O(rows/rank). The permutation is identity — specs enumerate rows in
-      // an order that is already contiguous per rank.
-      const wgen::ResolvedWorkload w = wgen::resolve_workload(
-          wgen::parse_workload_spec(args.get("gen", "")), nranks);
-      DistCsr d = wgen::generate_dist(w, nranks, comm, &gen_stats, exec.get());
-      sys.layout = d.row_layout();
-      sys.perm.resize(static_cast<std::size_t>(sys.layout.global_size()));
-      std::iota(sys.perm.begin(), sys.perm.end(), index_t{0});
-      return d;
-    }
-    sys = partition_system(a, nranks);
-    return DistCsr::distribute(sys.matrix, sys.layout, comm);
-  }();
+  SolveSystem system =
+      gen_mode ? generate_system(operator_name, nranks, comm, exec.get(),
+                                 &gen_stats)
+               : distribute_system(a, nranks, comm);
+  // A --rhs vector is numbered like the file, before RCM and partition.
+  if (!rcm.empty()) system.renumber_input(rcm);
+  DistCsr& a_dist = system.a_dist;
   a_dist.use_kernel(kernel);
   if (gen_mode) {
     std::cout << operator_name << ": " << gen_stats.rows << " rows, "
@@ -343,22 +345,22 @@ int cmd_solve(const Args& args) {
               << gen_stats.max_rank_nnz << " nnz, balance "
               << strformat("%.3f", gen_stats.balance()) << ")\n";
   } else {
-    std::cout << operator_name << ": " << sys.matrix.rows() << " rows, "
-              << sys.matrix.nnz() << " nnz over " << nranks
-              << " ranks (edge cut " << sys.edge_cut << ")\n";
+    std::cout << operator_name << ": " << a.rows() << " rows, " << a.nnz()
+              << " nnz over " << nranks << " ranks (edge cut "
+              << system.edge_cut << ")\n";
   }
 
   // Methods that build from the assembled matrix (schwarz + the FSAI
   // family) need a global copy; with --gen it is materialized on demand so
   // the matrix-free preconditioners (jacobi / block-jacobi / block-ic0 /
-  // none) keep the whole run free of any global matrix.
-  const auto ensure_global = [&]() -> const CsrMatrix& {
-    if (gen_mode && sys.matrix.rows() == 0) {
+  // none) keep the whole run free of any global matrix. Each run assembles
+  // at most once.
+  const auto assembled = [&]() -> const CsrMatrix& {
+    if (gen_mode) {
       std::cout << "note: method " << method
                 << " assembles the generated operator globally for setup\n";
-      sys.matrix = a_dist.to_global();
     }
-    return sys.matrix;
+    return system.assembled();
   };
 
   // Node-aware runs without an explicit node geometry pick one: score the
@@ -392,24 +394,10 @@ int cmd_solve(const Args& args) {
 
   // Right-hand side: loaded from a MatrixMarket vector file when --rhs is
   // given, otherwise synthesized per the paper's setup.
-  std::vector<value_t> bg;
-  const index_t global_rows = sys.layout.global_size();
-  if (args.has("rhs")) {
-    bg = read_matrix_market_vector_file(args.get("rhs", ""));
-    FSAIC_REQUIRE(bg.size() == static_cast<std::size_t>(global_rows),
-                  "right-hand side length " + std::to_string(bg.size()) +
-                      " does not match matrix rows " +
-                      std::to_string(global_rows));
-  } else {
-    Rng rng(2022);
-    bg.resize(static_cast<std::size_t>(global_rows));
-    for (auto& v : bg) v = rng.next_uniform(-1.0, 1.0);
-  }
-  std::vector<value_t> b_perm(bg.size());
-  for (std::size_t i = 0; i < bg.size(); ++i) {
-    b_perm[static_cast<std::size_t>(sys.perm[i])] = bg[i];
-  }
-  const DistVector b(sys.layout, b_perm);
+  const index_t global_rows = system.layout().global_size();
+  const DistVector b = system.to_layout(
+      args.has("rhs") ? read_rhs(args.get("rhs", ""), global_rows)
+                      : synthesize_rhs(2022, global_rows));
 
   std::unique_ptr<Preconditioner> precond;
   const CostModel cost(machine, {.threads_per_rank = threads, .comm = comm});
@@ -427,57 +415,40 @@ int cmd_solve(const Args& args) {
     precond = std::make_unique<BlockIc0Preconditioner>(a_dist);
   } else if (method == "schwarz") {
     const int overlap = std::stoi(args.get("overlap", "1"));
-    auto ras = std::make_unique<SchwarzPreconditioner>(ensure_global(),
-                                                       sys.layout, overlap);
+    auto ras = std::make_unique<SchwarzPreconditioner>(
+        assembled(), system.layout(), overlap);
     std::cout << "schwarz overlap " << overlap << ": "
               << ras->apply_halo_bytes() << " halo B/application\n";
     precond = std::move(ras);
   } else {
-    FsaiOptions opts;
-    opts.cache_line_bytes = machine.l1.line_bytes;
-    opts.exec = exec.get();
-    opts.trace = trace;
-    opts.filter = filter;
-    opts.filter_strategy =
-        args.has("static") ? FilterStrategy::Static : FilterStrategy::Dynamic;
-    if (method == "fsai") {
-      opts.extension = ExtensionMode::None;
-      opts.filter = 0.0;
-    } else if (method == "fsaie") {
-      opts.extension = ExtensionMode::LocalOnly;
-    } else if (method == "fsaie-comm") {
-      opts.extension = ExtensionMode::CommAware;
-    } else if (method == "fsaie-full") {
-      opts.extension = ExtensionMode::FullHalo;
-    } else {
-      std::cerr << "unknown method: " << method << "\n";
-      return 1;
-    }
+    fsai_opts.cache_line_bytes = machine.l1.line_bytes;
+    fsai_opts.exec = exec.get();
+    fsai_opts.trace = trace;
     if (args.has("load-factor")) {
       const SavedFactor saved = load_factor(args.get("load-factor", ""));
-      FSAIC_REQUIRE(saved.layout == sys.layout,
+      FSAIC_REQUIRE(saved.layout == system.layout(),
                     "saved factor was built for a different layout");
-      require_factor_matches(saved, ensure_global());
-      const DistCsr g_dist = DistCsr::distribute(saved.g, saved.layout, comm);
-      const DistCsr gt_dist =
-          DistCsr::distribute(transpose(saved.g), saved.layout, comm);
-      apply_cost = cost.spmv_cost(g_dist).total() + cost.spmv_cost(gt_dist).total();
-      precond = std::make_unique<FactorizedPreconditioner>(g_dist, gt_dist,
-                                                           method + "(loaded)");
+      require_factor_matches(saved, assembled());
+      auto loaded = stored_factor_preconditioner(saved.g, saved.layout, comm,
+                                                 method + "(loaded)");
+      apply_cost = cost.spmv_cost(loaded->g()).total() +
+                   cost.spmv_cost(loaded->gt()).total();
+      precond = std::move(loaded);
     } else {
       FsaiBuildResult build =
-          build_fsai_preconditioner(ensure_global(), sys.layout, opts);
+          build_fsai_preconditioner(assembled(), system.layout(), fsai_opts);
       build.g_dist.use_comm(comm);
       build.gt_dist.use_comm(comm);
       std::cout << method << ": +" << pct2(build.nnz_increase_pct)
                 << "% pattern entries, imbalance index "
                 << strformat("%.3f", build.imbalance_avg()) << ", setup "
-                << sci2(estimate_build_setup(build, sys.layout, machine, threads)
+                << sci2(estimate_build_setup(build, system.layout(), machine,
+                                             threads)
                             .time)
                 << " s (modeled)\n";
       if (args.has("save-factor")) {
-        save_factor(args.get("save-factor", ""), build.g, sys.layout,
-                    fingerprint_of(sys.matrix));
+        save_factor(args.get("save-factor", ""), build.g, system.layout(),
+                    system.fingerprint());
         std::cout << "factor saved to " << args.get("save-factor", "") << "\n";
       }
       setup_json = JsonValue::object();
@@ -534,7 +505,7 @@ int cmd_solve(const Args& args) {
                  "stay double\n";
   }
   const bool fused = !args.has("separate-sweeps");
-  DistVector x(sys.layout);
+  DistVector x(system.layout());
   const SolveOptions solve_opts{.rel_tol = tol, .max_iterations = 100000,
                                 .sink = sinkp, .trace = trace,
                                 .exec = exec.get(), .fused_sweeps = fused};
@@ -548,7 +519,7 @@ int cmd_solve(const Args& args) {
                  : pcg_solve(a_dist, b, x, *precond, solve_opts));
 
   const double iter_cost = cost.spmv_cost(a_dist).total() +
-                           cost.blas1_cost(sys.layout, 3) +
+                           cost.blas1_cost(system.layout(), 3) +
                            (args.has("pipelined") ? 1.0 : 3.0) *
                                cost.allreduce_cost(nranks) +
                            apply_cost;
@@ -877,14 +848,7 @@ int cmd_gen(const Args& args) {
   const wgen::WorkloadSpec spec =
       wgen::parse_workload_spec(args.positional[0]);
   const wgen::ResolvedWorkload w = wgen::resolve_workload(spec, nranks);
-  CommConfig comm = CommConfig::from_env();
-  if (args.has("comm")) {
-    comm.mode = comm_mode_from_string(args.get("comm", "flat"));
-  }
-  if (args.has("ranks-per-node")) {
-    comm.ranks_per_node =
-        std::max(1, std::stoi(args.get("ranks-per-node", "1")));
-  }
+  const CommConfig comm = comm_from_args(args);
   const auto exec = make_executor(ExecPolicy::from_env());
   wgen::WgenStats stats;
   const DistCsr dist = wgen::generate_dist(w, nranks, comm, &stats, exec.get());
