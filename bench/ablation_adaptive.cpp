@@ -31,8 +31,8 @@ int main() {
     const auto run_pattern = [&](const std::string& label,
                                  const SparsityPattern& p) {
       const auto g = compute_fsai_factor(sys.assembled(), p);
-      const auto precond = stored_factor_preconditioner(
-          g, sys.layout(), CommConfig::from_env(), label);
+      const auto precond =
+          stored_factor_preconditioner(g, sys.layout(), CommConfig{}, label);
       DistVector x(sys.layout());
       const auto r = pcg_solve(sys.a_dist, sys.b, x, *precond, cfg.solve);
       const double t =

@@ -92,12 +92,7 @@ int main() {
       const int rpn = 4;
       const CommConfig node_cfg{CommMode::NodeAware, rpn};
       const NodeTopology topo = node_cfg.topology(sys.nranks);
-      // Pin both realizations explicitly so the record is meaningful even
-      // when FSAIC_COMM overrides the process default.
-      DistCsr g_flat = comm.g_dist;
-      DistCsr gt_flat = comm.gt_dist;
-      g_flat.use_comm(CommConfig{});
-      gt_flat.use_comm(CommConfig{});
+      // The build distributes its factors flat; re-realize them node-aware.
       DistCsr g_na = comm.g_dist;
       DistCsr gt_na = comm.gt_dist;
       g_na.use_comm(node_cfg);
@@ -119,12 +114,10 @@ int main() {
       topo_rec["matrix"] = entry.name;
       topo_rec["ranks"] = sys.nranks;
       topo_rec["ranks_per_node"] = rpn;
-      topo_rec["halo_bytes_flat"] =
-          g_flat.halo_update_bytes() + gt_flat.halo_update_bytes();
+      topo_rec["halo_bytes_flat"] = total_bytes(comm);
       topo_rec["halo_bytes_node_aware"] =
           g_na.halo_update_bytes() + gt_na.halo_update_bytes();
-      topo_rec["halo_msgs_flat"] =
-          g_flat.halo_update_messages() + gt_flat.halo_update_messages();
+      topo_rec["halo_msgs_flat"] = total_msgs(comm);
       topo_rec["halo_msgs_node_aware"] =
           g_na.halo_update_messages() + gt_na.halo_update_messages();
       topo_rec["halo_intra_msgs"] = g_na.halo_update_intra_messages() +

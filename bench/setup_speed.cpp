@@ -1,9 +1,11 @@
 // FSAI setup-speed microbenchmark: times the gather-based Gram assembly
-// against the historic entrywise at() path over sparsity levels 1-3 (where
-// pattern rows widen and the m^2 log(nnz) binary searches dominate), and the
-// incremental refactorization against a full step-5 recompute on filtered
-// FSAIE-Comm builds. Both comparisons also assert the results are
-// bit-identical, so the bench doubles as a coarse differential check.
+// against the historic entrywise at() path (compute_fsai_factor_reference)
+// over sparsity levels 1-3 (where pattern rows widen and the m^2 log(nnz)
+// binary searches dominate), and step 5 of filtered FSAIE-Comm builds both
+// ways on the build's own patterns: a full recompute against the
+// incremental refactorization that reuses unchanged provisional rows. Both
+// comparisons also assert the results are bit-identical, so the bench
+// doubles as a coarse differential check.
 //
 // FSAIC_REPORT=path.jsonl appends machine-readable records:
 //   kind "setup_speed":    per (matrix, level) assembly timing + speedup
@@ -72,10 +74,6 @@ int main() {
   for (const auto& c : cases) {
     for (int level = 1; level <= 3; ++level) {
       const SparsityPattern s = fsai_base_pattern(c.a, level, 0.0);
-      FsaiComputeOptions ref_opts;
-      ref_opts.assembly = GramAssembly::Reference;
-      FsaiComputeOptions gather_opts;
-      gather_opts.assembly = GramAssembly::Gather;
 
       std::vector<double> ref_samples;
       std::vector<double> gather_samples;
@@ -84,9 +82,9 @@ int main() {
       FsaiFactorStats gather_stats;
       for (int rep = 0; rep < reps; ++rep) {
         auto t0 = clock::now();
-        g_ref = compute_fsai_factor(c.a, s, nullptr, ref_opts);
+        g_ref = compute_fsai_factor_reference(c.a, s);
         auto t1 = clock::now();
-        g_gather = compute_fsai_factor(c.a, s, &gather_stats, gather_opts);
+        g_gather = compute_fsai_factor(c.a, s, &gather_stats);
         auto t2 = clock::now();
         ref_samples.push_back(std::chrono::duration<double>(t1 - t0).count());
         gather_samples.push_back(std::chrono::duration<double>(t2 - t1).count());
@@ -120,11 +118,13 @@ int main() {
   }
   assembly.print(std::cout);
 
-  // Part 2: filtered FSAIE-Comm builds, full step-5 recompute vs incremental
-  // refactorization (256 B lines so the extension adds enough entries for
-  // the filter to have something to remove).
-  std::cout << "\nIncremental refactorization after filtering (comm-aware "
-               "extension, filter 0.05, 256 B lines):\n";
+  // Part 2: step 5 of filtered FSAIE-Comm builds, full recompute vs
+  // incremental refactorization from the provisional factor, on the build's
+  // own extended and filtered patterns (256 B lines so the extension adds
+  // enough entries for the filter to have something to remove).
+  std::cout << "\nStep 5 after filtering, full recompute vs incremental "
+               "refactorization (comm-aware extension, filter 0.05, 256 B "
+               "lines):\n";
   TextTable refactor({"Matrix", "Level", "rows.solved.full", "rows.solved.incr",
                       "rows.reused", "full.s", "incr.s", "identical"});
   for (const auto& c : cases) {
@@ -136,36 +136,38 @@ int main() {
       opts.cache_line_bytes = 256;
       opts.filter = 0.05;
       opts.filter_strategy = FilterStrategy::Static;
+      const FsaiBuildResult build = build_fsai_preconditioner(c.a, layout, opts);
+      const CsrMatrix g_pre = compute_fsai_factor(c.a, build.extended_pattern);
 
-      opts.incremental_refactor = false;
+      FsaiFactorStats full_stats;
+      FsaiFactorStats incr_stats;
       auto t0 = clock::now();
-      const FsaiBuildResult full =
-          build_fsai_preconditioner(c.a, layout, opts);
+      const CsrMatrix full =
+          compute_fsai_factor(c.a, build.final_pattern, &full_stats);
       auto t1 = clock::now();
-      opts.incremental_refactor = true;
-      const FsaiBuildResult incr =
-          build_fsai_preconditioner(c.a, layout, opts);
+      const CsrMatrix incr =
+          refine_fsai_factor(c.a, g_pre, build.final_pattern, &incr_stats);
       auto t2 = clock::now();
       const double full_s = std::chrono::duration<double>(t1 - t0).count();
       const double incr_s = std::chrono::duration<double>(t2 - t1).count();
-      const bool identical = factors_identical(full.g, incr.g);
+      const bool identical =
+          factors_identical(full, incr) && factors_identical(incr, build.g);
       if (!identical) ++mismatches;
 
-      refactor.add_row(
-          {c.name, std::to_string(level),
-           std::to_string(full.factor_stats.rows_solved),
-           std::to_string(incr.factor_stats.rows_solved),
-           std::to_string(incr.factor_stats.rows_reused), sci2(full_s),
-           sci2(incr_s), identical ? "yes" : "NO"});
+      refactor.add_row({c.name, std::to_string(level),
+                        std::to_string(full_stats.rows_solved),
+                        std::to_string(incr_stats.rows_solved),
+                        std::to_string(incr_stats.rows_reused), sci2(full_s),
+                        sci2(incr_s), identical ? "yes" : "NO"});
       if (report != nullptr) {
         JsonValue rec = JsonValue::object();
         rec["kind"] = "setup_refactor";
         rec["matrix"] = c.name;
         rec["level"] = level;
         rec["rows"] = c.a.rows();
-        rec["rows_solved_full"] = full.factor_stats.rows_solved;
-        rec["rows_solved_incr"] = incr.factor_stats.rows_solved;
-        rec["rows_reused"] = incr.factor_stats.rows_reused;
+        rec["rows_solved_full"] = full_stats.rows_solved;
+        rec["rows_solved_incr"] = incr_stats.rows_solved;
+        rec["rows_reused"] = incr_stats.rows_reused;
         rec["full_s"] = full_s;
         rec["incr_s"] = incr_s;
         rec["identical"] = identical;

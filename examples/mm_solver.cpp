@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const Machine machine = machine_by_name(argc > 4 ? argv[4] : "skylake");
 
   const CsrMatrix a = read_matrix_market_file(argv[1]);
-  const SolveSystem sys = distribute_system(a, ranks, CommConfig::from_env());
+  const SolveSystem sys = distribute_system(a, ranks, CommConfig{});
   std::cout << argv[1] << ": " << a.rows() << " rows, " << a.nnz() << " nnz\n";
 
   std::vector<value_t> bg = synthesize_rhs(2022, a.rows());

@@ -120,17 +120,16 @@ bool solve_local_system_reference(const CsrMatrix& a,
 
 /// Solve one pattern row and write the normalized G row into `out`.
 void solve_fsai_row(const CsrMatrix& a, index_t i, std::span<const index_t> cols,
-                    std::span<value_t> out, GramAssembly assembly,
-                    RowScratch& s) {
+                    std::span<value_t> out, bool reference, RowScratch& s) {
   const auto m = static_cast<index_t>(cols.size());
   // The diagonal is the last pattern entry of a sorted lower-triangular row.
   FSAIC_CHECK(cols.back() == i, "diagonal must close each pattern row");
   const index_t diag_pos = m - 1;
   ++s.stats.rows_solved;
 
-  const bool solved = assembly == GramAssembly::Gather
-                          ? solve_local_system_gather(a, cols, diag_pos, s)
-                          : solve_local_system_reference(a, cols, diag_pos, s);
+  const bool solved = reference
+                          ? solve_local_system_reference(a, cols, diag_pos, s)
+                          : solve_local_system_gather(a, cols, diag_pos, s);
 
   const value_t ghat_ii =
       solved ? s.rhs[static_cast<std::size_t>(diag_pos)] : 0.0;
@@ -155,10 +154,11 @@ void solve_fsai_row(const CsrMatrix& a, index_t i, std::span<const index_t> cols
 /// The shared row loop of compute/refine: every row either reuses its
 /// provisional values (refine only, pattern row unchanged) or is solved.
 /// Rows are independent — each writes only its own value range of `g` — so
-/// any parallel_for schedule produces identical bits.
+/// any parallel_for schedule produces identical bits. `reference` selects
+/// the entrywise assembly of compute_fsai_factor_reference.
 void run_setup_rows(const CsrMatrix& a, const SparsityPattern& s, CsrMatrix& g,
                     const CsrMatrix* reuse_from, FsaiFactorStats* stats,
-                    const FsaiComputeOptions& options) {
+                    const FsaiComputeOptions& options, bool reference) {
   Executor& exec = resolve_executor(options.exec);
   const int width = std::max(1, exec.parallel_for_width());
   std::vector<RowScratch> scratch(static_cast<std::size_t>(width));
@@ -177,7 +177,7 @@ void run_setup_rows(const CsrMatrix& a, const SparsityPattern& s, CsrMatrix& g,
         return;
       }
     }
-    solve_fsai_row(a, i, cols, out, options.assembly, st);
+    solve_fsai_row(a, i, cols, out, reference, st);
   });
 
   if (stats != nullptr) {
@@ -202,16 +202,22 @@ void validate_fsai_inputs(const CsrMatrix& a, const SparsityPattern& s) {
 
 }  // namespace
 
-const char* to_string(GramAssembly assembly) {
-  return assembly == GramAssembly::Gather ? "gather" : "reference";
-}
-
 CsrMatrix compute_fsai_factor(const CsrMatrix& a, const SparsityPattern& s,
                               FsaiFactorStats* stats,
                               const FsaiComputeOptions& options) {
   validate_fsai_inputs(a, s);
   CsrMatrix g{s};
-  run_setup_rows(a, s, g, nullptr, stats, options);
+  run_setup_rows(a, s, g, nullptr, stats, options, /*reference=*/false);
+  return g;
+}
+
+CsrMatrix compute_fsai_factor_reference(const CsrMatrix& a,
+                                        const SparsityPattern& s,
+                                        FsaiFactorStats* stats,
+                                        const FsaiComputeOptions& options) {
+  validate_fsai_inputs(a, s);
+  CsrMatrix g{s};
+  run_setup_rows(a, s, g, nullptr, stats, options, /*reference=*/true);
   return g;
 }
 
@@ -223,7 +229,7 @@ CsrMatrix refine_fsai_factor(const CsrMatrix& a, const CsrMatrix& g_pre,
   FSAIC_REQUIRE(g_pre.rows() == a.rows() && g_pre.cols() == a.cols(),
                 "provisional factor shape mismatch");
   CsrMatrix g{s_final};
-  run_setup_rows(a, s_final, g, &g_pre, stats, options);
+  run_setup_rows(a, s_final, g, &g_pre, stats, options, /*reference=*/false);
   return g;
 }
 

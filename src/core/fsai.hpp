@@ -15,8 +15,9 @@
 // instead of the m²·log(nnz) binary searches of entrywise CsrMatrix::at()
 // lookups. Only the lower triangle is filled on the fast path (Cholesky
 // reads nothing else); the full matrix is re-gathered for the rare fallback
-// rows. The pre-gather entrywise path is kept as GramAssembly::Reference for
-// differential testing — both produce bit-identical factors.
+// rows. The pre-gather entrywise path is kept as
+// compute_fsai_factor_reference() for differential testing — both produce
+// bit-identical factors.
 #pragma once
 
 #include <cstdint>
@@ -39,25 +40,13 @@ struct FsaiFactorStats {
   /// only: the row's pattern survived filtering unchanged).
   index_t rows_reused = 0;
   /// Matrix entries scattered into Gram systems by the gather assembly
-  /// (0 under GramAssembly::Reference).
+  /// (0 for compute_fsai_factor_reference).
   std::int64_t gram_entries_gathered = 0;
 
   bool operator==(const FsaiFactorStats&) const = default;
 };
 
-/// How the per-row dense systems A(S_i, S_i) are assembled.
-enum class GramAssembly {
-  /// Epoch-tagged scatter/gather over the CSR rows (the fast path).
-  Gather,
-  /// Entrywise binary-search at() lookups (the pre-gather reference path,
-  /// kept for differential tests and the setup-speed bench).
-  Reference,
-};
-
-[[nodiscard]] const char* to_string(GramAssembly assembly);
-
 struct FsaiComputeOptions {
-  GramAssembly assembly = GramAssembly::Gather;
   /// Row-loop engine (null -> the process-wide default executor). Factors
   /// are bit-identical for every executor and thread count.
   Executor* exec = nullptr;
@@ -66,6 +55,14 @@ struct FsaiComputeOptions {
 /// Compute G on pattern `s` for SPD matrix `a`. `s` must be lower triangular,
 /// square of a's size and contain every diagonal entry.
 [[nodiscard]] CsrMatrix compute_fsai_factor(
+    const CsrMatrix& a, const SparsityPattern& s,
+    FsaiFactorStats* stats = nullptr, const FsaiComputeOptions& options = {});
+
+/// compute_fsai_factor with the pre-gather entrywise assembly: each Gram
+/// entry is an at() binary search and every row allocates its own systems.
+/// Bit-identical factors; kept for the differential tests and the
+/// setup-speed bench, not for production use.
+[[nodiscard]] CsrMatrix compute_fsai_factor_reference(
     const CsrMatrix& a, const SparsityPattern& s,
     FsaiFactorStats* stats = nullptr, const FsaiComputeOptions& options = {});
 

@@ -33,7 +33,7 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
   }
 
   // Step 4: provisional values + filtering of added entries.
-  const FsaiComputeOptions copts{options.assembly, options.exec};
+  const FsaiComputeOptions copts{options.exec};
   CsrMatrix g_pre;
   const bool filtering_active =
       options.filter > 0.0 && result.extended_pattern.nnz() > result.base_pattern.nnz();
@@ -45,9 +45,6 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
       FilterOptions fopts;
       fopts.filter = options.filter;
       fopts.only_added_entries = options.filter_only_added;
-      fopts.imbalance_tolerance = options.imbalance_tolerance;
-      fopts.max_bisection_steps = options.max_bisection_steps;
-      fopts.rebalance_rounds = options.rebalance_rounds;
       FilterOutcome outcome =
           options.filter_strategy == FilterStrategy::Static
               ? static_filter(g_pre, result.base_pattern, layout, fopts)
@@ -69,7 +66,7 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
   // the result is bit-identical to a full recompute).
   {
     ScopedPhase phase(trace, "factorization", "setup");
-    result.g = filtering_active && options.incremental_refactor
+    result.g = filtering_active
                    ? refine_fsai_factor(a, g_pre, result.final_pattern,
                                         &result.factor_stats, copts)
                    : compute_fsai_factor(a, result.final_pattern,

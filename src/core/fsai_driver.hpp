@@ -40,16 +40,6 @@ struct FsaiOptions {
   FilterStrategy filter_strategy = FilterStrategy::Static;
   /// Protect original-pattern entries from the filter (Alg. 2 semantics).
   bool filter_only_added = true;
-  /// Dynamic-filter tolerance and iteration caps (Algorithm 4).
-  double imbalance_tolerance = 0.05;
-  int max_bisection_steps = 30;
-  int rebalance_rounds = 8;
-  /// Gram assembly of the per-row dense systems (Reference only for
-  /// differential testing / benchmarking — factors are bit-identical).
-  GramAssembly assembly = GramAssembly::Gather;
-  /// Reuse provisional G_pre rows whose pattern survived filtering unchanged
-  /// instead of re-solving every row in step 5 (bit-identical either way).
-  bool incremental_refactor = true;
   /// Setup row-loop engine (null -> the process-wide default executor).
   Executor* exec = nullptr;
   /// Optional phase tracer (borrowed): the build emits the setup phases
@@ -81,8 +71,8 @@ struct FsaiBuildResult {
   std::vector<value_t> rank_filter;
   int dynamic_bisection_iterations = 0;
 
-  /// Stats of the final factorization (step 5). With incremental
-  /// refactorization, rows_reused counts the G_pre rows copied verbatim.
+  /// Stats of the final factorization (step 5). When filtering ran,
+  /// rows_reused counts the G_pre rows copied verbatim.
   FsaiFactorStats factor_stats;
   /// Stats of the provisional factorization on S_ext (step 4); all zero when
   /// filtering is inactive and no provisional factor is computed.

@@ -148,10 +148,10 @@ void solve_spai_column_reference(const CsrMatrix& a, const CsrMatrix& at,
   std::copy(rhs.begin(), rhs.end(), out.begin());
 }
 
-}  // namespace
-
-CsrMatrix compute_spai(const CsrMatrix& a, const SparsityPattern& s,
-                       const SpaiComputeOptions& options) {
+/// The column loop of compute_spai / compute_spai_reference; `reference`
+/// selects the entrywise assembly.
+CsrMatrix spai_columns(const CsrMatrix& a, const SparsityPattern& s,
+                       const SpaiComputeOptions& options, bool reference) {
   FSAIC_REQUIRE(a.rows() == a.cols(), "SPAI requires a square matrix");
   FSAIC_REQUIRE(s.rows() == a.rows() && s.cols() == a.cols(),
                 "pattern shape mismatch");
@@ -172,14 +172,26 @@ CsrMatrix compute_spai(const CsrMatrix& a, const SparsityPattern& s,
     const auto cols = s.row(j);
     if (cols.empty()) return;
     auto out = m.row_vals(j);
-    if (options.assembly == GramAssembly::Gather) {
+    if (reference) {
+      solve_spai_column_reference(a, at, j, cols, out);
+    } else {
       solve_spai_column_gather(a, at, j, cols, out,
                                scratch[static_cast<std::size_t>(slot)]);
-    } else {
-      solve_spai_column_reference(a, at, j, cols, out);
     }
   });
   return m;
+}
+
+}  // namespace
+
+CsrMatrix compute_spai(const CsrMatrix& a, const SparsityPattern& s,
+                       const SpaiComputeOptions& options) {
+  return spai_columns(a, s, options, /*reference=*/false);
+}
+
+CsrMatrix compute_spai_reference(const CsrMatrix& a, const SparsityPattern& s,
+                                 const SpaiComputeOptions& options) {
+  return spai_columns(a, s, options, /*reference=*/true);
 }
 
 SpaiPreconditioner::SpaiPreconditioner(const CsrMatrix& a, const Layout& layout) {

@@ -6,7 +6,6 @@
 // FSAI's G^T G form keeps (one of the reasons the paper uses FSAI).
 #pragma once
 
-#include "core/fsai.hpp"
 #include "solver/preconditioner.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/pattern.hpp"
@@ -14,19 +13,22 @@
 namespace fsaic {
 
 struct SpaiComputeOptions {
-  /// Gather: scatter-stream Gram/rhs assembly (one pass over the CSR rows,
-  /// no per-entry binary searches). Reference: the historic merge-join +
-  /// at() path. Both produce bit-identical columns.
-  GramAssembly assembly = GramAssembly::Gather;
   /// Column-loop engine (null -> the process-wide default executor).
   Executor* exec = nullptr;
 };
 
 /// Compute M on pattern `s` minimizing ||e_j - A m_j||_2 per column j
 /// (dense normal equations on the gathered submatrix; the classical SPAI
-/// least-squares step).
+/// least-squares step). The Gram/rhs assembly is a scatter-stream gather:
+/// one pass over the CSR rows, no per-entry binary searches.
 [[nodiscard]] CsrMatrix compute_spai(const CsrMatrix& a, const SparsityPattern& s,
                                      const SpaiComputeOptions& options = {});
+
+/// compute_spai with the historic merge-join + at() assembly. Bit-identical
+/// columns; kept for differential testing.
+[[nodiscard]] CsrMatrix compute_spai_reference(
+    const CsrMatrix& a, const SparsityPattern& s,
+    const SpaiComputeOptions& options = {});
 
 /// z = M_sym r with M_sym = (M + M^T)/2 distributed over the layout.
 class SpaiPreconditioner final : public Preconditioner {

@@ -155,10 +155,6 @@ void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
 
 }  // namespace
 
-DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout) {
-  return distribute(global, std::move(layout), CommConfig::from_env());
-}
-
 DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
                             const CommConfig& comm) {
   FSAIC_REQUIRE(global.rows() == global.cols(),

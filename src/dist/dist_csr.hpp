@@ -73,12 +73,10 @@ class DistCsr {
   /// Distribute the rows of a square global matrix over `layout`. The x and
   /// y vectors of y = A x are distributed the same way (the paper applies
   /// one partition to the matrix, x and b alike). `comm` selects the halo
-  /// exchanger realization (flat mailboxes or node-aware leader
-  /// aggregation); the two-argument overload reads FSAIC_COMM /
-  /// FSAIC_RANKS_PER_NODE from the environment.
+  /// exchanger realization (flat mailboxes by default, or node-aware
+  /// leader aggregation).
   static DistCsr distribute(const CsrMatrix& global, Layout layout,
-                            const CommConfig& comm);
-  static DistCsr distribute(const CsrMatrix& global, Layout layout);
+                            const CommConfig& comm = {});
 
   /// Assemble a distributed matrix from per-rank row generators WITHOUT a
   /// global CsrMatrix ever existing: `rank_rows(p)` returns rank p's rows

@@ -1,7 +1,6 @@
 #include "dist/node_topology.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.hpp"
 
@@ -33,23 +32,6 @@ rank_t NodeTopology::node_end(rank_t node) const {
 
 NodeTopology CommConfig::topology(rank_t nranks) const {
   return NodeTopology::grouped(nranks, ranks_per_node);
-}
-
-CommConfig CommConfig::from_env() {
-  CommConfig cfg;
-  if (const char* mode = std::getenv("FSAIC_COMM"); mode != nullptr) {
-    const std::string s(mode);
-    if (s == "node-aware") cfg.mode = CommMode::NodeAware;
-    // Anything else (including "flat") keeps the flat default.
-  }
-  if (const char* rpn = std::getenv("FSAIC_RANKS_PER_NODE"); rpn != nullptr) {
-    char* end = nullptr;
-    const long v = std::strtol(rpn, &end, 10);
-    if (end != rpn && *end == '\0') {
-      cfg.ranks_per_node = static_cast<int>(std::clamp<long>(v, 1, 1 << 20));
-    }
-  }
-  return cfg;
 }
 
 std::string to_string(CommMode mode) {

@@ -83,11 +83,6 @@ struct CommConfig {
   /// Topology this config induces over `nranks` ranks.
   [[nodiscard]] NodeTopology topology(rank_t nranks) const;
 
-  /// FSAIC_COMM ("flat" | "node-aware") and FSAIC_RANKS_PER_NODE (>= 1).
-  /// Unset or unparsable values fall back to the flat single-rank-node
-  /// default, so existing runs are untouched.
-  static CommConfig from_env();
-
   bool operator==(const CommConfig& other) const = default;
 };
 

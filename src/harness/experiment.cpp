@@ -34,7 +34,7 @@ const PreparedSystem& ExperimentRunner::prepare(const SuiteEntry& entry) {
   const auto nranks = static_cast<rank_t>(std::clamp<offset_t>(
       a.nnz() / config_.nnz_per_rank, config_.min_ranks, config_.max_ranks));
   auto sys = std::make_unique<PreparedSystem>(PreparedSystem{
-      distribute_system(a, nranks, CommConfig::from_env(), config_.seed),
+      distribute_system(a, nranks, CommConfig{}, config_.seed),
       entry.name, DistVector{}, nranks});
 
   // Random right-hand side normalized to the matrix max norm, zero initial

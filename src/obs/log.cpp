@@ -1,6 +1,5 @@
 #include "obs/log.hpp"
 
-#include <cstdlib>
 #include <iostream>
 #include <ostream>
 
@@ -74,16 +73,6 @@ void Logger::log(LogLevel level, std::string_view event,
 std::int64_t Logger::lines_written() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return lines_;
-}
-
-std::unique_ptr<Logger> Logger::from_env() {
-  const char* sink = std::getenv("FSAIC_LOG");
-  if (sink == nullptr || *sink == '\0') return std::make_unique<Logger>();
-  const char* level = std::getenv("FSAIC_LOG_LEVEL");
-  return std::make_unique<Logger>(
-      std::string(sink), level != nullptr && *level != '\0'
-                             ? log_level_from_string(level)
-                             : LogLevel::Info);
 }
 
 }  // namespace fsaic

@@ -13,15 +13,13 @@
 // Like the rest of the layer, logging is off unless wired: a
 // default-constructed Logger is disabled, `enabled()` is a cheap filter for
 // callers that would otherwise build field objects, and a null Logger*
-// costs one pointer test. `fsaic serve --log/--log-level` (or the
-// FSAIC_LOG / FSAIC_LOG_LEVEL environment variables) configure the CLI.
+// costs one pointer test. `fsaic serve --log/--log-level` configure the CLI.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -74,11 +72,6 @@ class Logger {
   }
 
   [[nodiscard]] std::int64_t lines_written() const;
-
-  /// Logger configured from the environment: FSAIC_LOG names the sink
-  /// (unset/empty -> disabled logger), FSAIC_LOG_LEVEL the minimum level
-  /// (default "info").
-  [[nodiscard]] static std::unique_ptr<Logger> from_env();
 
  private:
   std::ofstream owned_;

@@ -26,6 +26,10 @@ namespace {
 /// setup -> cache-hit transition after the first solve of an operator).
 constexpr double kServiceTimeAlpha = 0.3;
 
+/// Recent solutions remembered for warm-starting opted-in requests
+/// ("warm_start": true).
+constexpr std::size_t kSolutionCacheCapacity = 16;
+
 double us_between(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
@@ -164,7 +168,6 @@ std::optional<SolveService::CachedSolution> SolveService::solution_get(
 
 void SolveService::solution_put(const std::string& key,
                                 CachedSolution solution) {
-  if (options_.solution_cache_capacity == 0) return;
   const std::lock_guard<std::mutex> lock(solution_mutex_);
   const auto it = solutions_.find(key);
   if (it != solutions_.end()) {
@@ -173,7 +176,7 @@ void SolveService::solution_put(const std::string& key,
                          it->second.second);
     return;
   }
-  if (solutions_.size() >= options_.solution_cache_capacity) {
+  if (solutions_.size() >= kSolutionCacheCapacity) {
     solutions_.erase(solution_lru_.back());
     solution_lru_.pop_back();
   }
@@ -404,7 +407,7 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
   // and the factor bits are identical on all three paths, so the residual
   // histories are too.
   const SolveRequest& lead = live.front().request;
-  const CommConfig comm = CommConfig::from_env();
+  const CommConfig comm;  // flat halo exchange
   CacheTier tier = CacheTier::Miss;
   std::string fingerprint_hex;
   double setup_us = 0.0;
@@ -510,15 +513,12 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
       DistVector x(system.layout());
       double reference = 0.0;
       bool warm = false;
-      std::string solution_key;
-      if (options_.solution_cache_capacity > 0) {
-        solution_key =
-            p.batch_key + "|" + req.solver + "|" +
-            strformat("%.17g", static_cast<double>(req.tol)) + "|" +
-            std::to_string(req.max_iterations) + "|" +
-            hash_hex(fingerprint_of_values(b_global));
-      }
-      if (req.warm_start && !solution_key.empty()) {
+      const std::string solution_key =
+          p.batch_key + "|" + req.solver + "|" +
+          strformat("%.17g", static_cast<double>(req.tol)) + "|" +
+          std::to_string(req.max_iterations) + "|" +
+          hash_hex(fingerprint_of_values(b_global));
+      if (req.warm_start) {
         if (auto cached = solution_get(solution_key)) {
           // Same operator + rank count => same partition, so the global
           // solution scatters back onto the layout unchanged.
@@ -539,7 +539,7 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
               ? pcg_solve_pipelined(system.a_dist, b, x, *precond, solve_opts)
               : pcg_solve(system.a_dist, b, x, *precond, solve_opts);
       const auto t_done = std::chrono::steady_clock::now();
-      if (!solution_key.empty() && result.converged) {
+      if (result.converged) {
         // Remember the solution in input (pre-partition) numbering; the
         // reference stays the cold solve's ||r_0|| across refreshes.
         solution_put(solution_key,

@@ -83,9 +83,6 @@ struct ServiceOptions {
   /// Executor threads per worker for the solves themselves (1 = sequential;
   /// results are bit-identical either way).
   int solver_threads = 1;
-  /// Recent solutions remembered for warm-starting opted-in requests
-  /// ("warm_start": true); 0 disables the solution cache.
-  std::size_t solution_cache_capacity = 16;
   /// Borrowed observability attachments; all optional. The logger receives
   /// one structured event per request-lifecycle step (admit / reject /
   /// dequeue / setup / solve / error), each carrying the request id `rid`

@@ -77,12 +77,7 @@ SolveResult pcg_solve(const DistCsr& a, const DistVector& b, DistVector& x,
       return result;
     }
     const value_t alpha = rho / dq;
-    if (options.fused_sweeps) {
-      dist_fused_axpy_pair(alpha, d, -alpha, q, x, r, exec);
-    } else {
-      dist_axpy(alpha, d, x, exec);
-      dist_axpy(-alpha, q, r, exec);
-    }
+    dist_fused_axpy_pair(alpha, d, -alpha, q, x, r, exec);
 
     const value_t rnorm = dist_norm2(r, &result.comm, trace, exec);
     result.final_residual = rnorm;

@@ -39,12 +39,6 @@ struct SolveOptions {
   /// nullptr -> the process-wide default (sequential unless FSAIC_THREADS
   /// is set). Residual histories are bit-identical across executors.
   Executor* exec = nullptr;
-  /// Run the per-iteration vector-update sweeps as fused single-pass
-  /// kernels (sparse/vector_ops.hpp). Element-wise identical expressions in
-  /// identical order, so residual histories are bit-identical to the
-  /// separate sweeps; this switch exists for differential tests and A/B
-  /// benchmarking, not as an accuracy knob.
-  bool fused_sweeps = true;
 };
 
 struct SolveResult {

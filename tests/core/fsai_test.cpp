@@ -137,10 +137,8 @@ TEST(FsaiGatherTest, BitIdenticalToReferenceAcrossPatternLevels) {
     const auto s = fsai_base_pattern(a, level, 0.0);
     FsaiFactorStats ref_stats;
     FsaiFactorStats gather_stats;
-    const auto g_ref = compute_fsai_factor(
-        a, s, &ref_stats, {.assembly = GramAssembly::Reference});
-    const auto g_gather = compute_fsai_factor(
-        a, s, &gather_stats, {.assembly = GramAssembly::Gather});
+    const auto g_ref = compute_fsai_factor_reference(a, s, &ref_stats);
+    const auto g_gather = compute_fsai_factor(a, s, &gather_stats);
     expect_factors_bit_identical(g_ref, g_gather);
     EXPECT_EQ(ref_stats.fallback_rows, gather_stats.fallback_rows);
     EXPECT_EQ(ref_stats.degenerate_rows, gather_stats.degenerate_rows);
@@ -150,10 +148,8 @@ TEST(FsaiGatherTest, BitIdenticalToReferenceAcrossPatternLevels) {
 TEST(FsaiGatherTest, BitIdenticalToReferenceOn3dStencil) {
   const auto a = stencil27(5, 5, 5);
   const auto s = fsai_base_pattern(a, 2, 0.0);
-  const auto g_ref = compute_fsai_factor(
-      a, s, nullptr, {.assembly = GramAssembly::Reference});
-  const auto g_gather = compute_fsai_factor(
-      a, s, nullptr, {.assembly = GramAssembly::Gather});
+  const auto g_ref = compute_fsai_factor_reference(a, s);
+  const auto g_gather = compute_fsai_factor(a, s);
   expect_factors_bit_identical(g_ref, g_gather);
 }
 
@@ -161,10 +157,8 @@ TEST(FsaiGatherTest, BitIdenticalToReferenceOnRandomSpd) {
   for (const std::uint64_t seed : {1u, 7u, 21u}) {
     const auto a = random_spd(40, 5, seed);
     const auto s = fsai_base_pattern(a, 2, 0.0);
-    const auto g_ref = compute_fsai_factor(
-        a, s, nullptr, {.assembly = GramAssembly::Reference});
-    const auto g_gather = compute_fsai_factor(
-        a, s, nullptr, {.assembly = GramAssembly::Gather});
+    const auto g_ref = compute_fsai_factor_reference(a, s);
+    const auto g_gather = compute_fsai_factor(a, s);
     expect_factors_bit_identical(g_ref, g_gather);
   }
 }
@@ -180,10 +174,8 @@ TEST(FsaiGatherTest, BitIdenticalOnDegenerateJacobiFallback) {
   const auto a = b.to_csr();
   FsaiFactorStats ref_stats;
   FsaiFactorStats gather_stats;
-  const auto g_ref = compute_fsai_factor(
-      a, full_lower(2), &ref_stats, {.assembly = GramAssembly::Reference});
-  const auto g_gather = compute_fsai_factor(
-      a, full_lower(2), &gather_stats, {.assembly = GramAssembly::Gather});
+  const auto g_ref = compute_fsai_factor_reference(a, full_lower(2), &ref_stats);
+  const auto g_gather = compute_fsai_factor(a, full_lower(2), &gather_stats);
   expect_factors_bit_identical(g_ref, g_gather);
   EXPECT_EQ(gather_stats.degenerate_rows, 1);
   // Same solve outcomes; only the gather counter differs by construction.
@@ -196,14 +188,13 @@ TEST(FsaiGatherTest, StatsAccountRowsAndGatheredEntries) {
   const auto a = poisson2d(8, 8);
   const auto s = fsai_base_pattern(a, 2, 0.0);
   FsaiFactorStats stats;
-  (void)compute_fsai_factor(a, s, &stats, {.assembly = GramAssembly::Gather});
+  (void)compute_fsai_factor(a, s, &stats);
   EXPECT_EQ(stats.rows_solved, a.rows());
   EXPECT_EQ(stats.rows_reused, 0);
   EXPECT_GT(stats.gram_entries_gathered, 0);
   // The reference path performs no gathers.
   FsaiFactorStats ref_stats;
-  (void)compute_fsai_factor(a, s, &ref_stats,
-                            {.assembly = GramAssembly::Reference});
+  (void)compute_fsai_factor_reference(a, s, &ref_stats);
   EXPECT_EQ(ref_stats.gram_entries_gathered, 0);
 }
 

@@ -48,25 +48,6 @@ TEST(NodeTopologyTest, GroupedRejectsBadArguments) {
   EXPECT_THROW((void)NodeTopology::grouped(-1, 2), Error);
 }
 
-TEST(CommConfigTest, FromEnvParsesModeAndWidth) {
-  setenv("FSAIC_COMM", "node-aware", 1);
-  setenv("FSAIC_RANKS_PER_NODE", "4", 1);
-  const CommConfig cfg = CommConfig::from_env();
-  EXPECT_EQ(cfg.mode, CommMode::NodeAware);
-  EXPECT_EQ(cfg.ranks_per_node, 4);
-
-  // Unparsable width and unknown mode fall back to the flat default.
-  setenv("FSAIC_COMM", "carrier-pigeon", 1);
-  setenv("FSAIC_RANKS_PER_NODE", "lots", 1);
-  const CommConfig fallback = CommConfig::from_env();
-  EXPECT_EQ(fallback.mode, CommMode::Flat);
-  EXPECT_EQ(fallback.ranks_per_node, 1);
-
-  unsetenv("FSAIC_COMM");
-  unsetenv("FSAIC_RANKS_PER_NODE");
-  EXPECT_EQ(CommConfig::from_env(), CommConfig{});
-}
-
 TEST(CommConfigTest, ModeNamesRoundTrip) {
   EXPECT_EQ(to_string(CommMode::Flat), "flat");
   EXPECT_EQ(to_string(CommMode::NodeAware), "node-aware");

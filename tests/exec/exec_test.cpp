@@ -262,9 +262,7 @@ TEST(ExecSetupTest, SpaiIsBitIdenticalAcrossExecutorsAndAssemblies) {
   SpaiComputeOptions opts;
   SeqExecutor seq;
   opts.exec = &seq;
-  opts.assembly = GramAssembly::Reference;
-  const auto m_ref = compute_spai(a, s, opts);
-  opts.assembly = GramAssembly::Gather;
+  const auto m_ref = compute_spai_reference(a, s, opts);
   const auto m_seq = compute_spai(a, s, opts);
   expect_same_factor_bits(m_ref, m_seq);
 

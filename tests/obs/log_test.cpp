@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -114,29 +113,22 @@ TEST(LogTest, ConcurrentWritersNeverInterleaveLines) {
   EXPECT_EQ(log.lines_written(), kThreads * kLines);
 }
 
-TEST(LogTest, FromEnvHonoursPathAndLevel) {
-  ::unsetenv("FSAIC_LOG");
-  auto off = Logger::from_env();
-  ASSERT_NE(off, nullptr);
-  EXPECT_FALSE(off->enabled(LogLevel::Error));
-
+TEST(LogTest, FileSinkHonoursPathAndLevel) {
   const std::string path =
-      testing::TempDir() + "/fsaic_log_test_from_env.jsonl";
-  ::setenv("FSAIC_LOG", path.c_str(), 1);
-  ::setenv("FSAIC_LOG_LEVEL", "warn", 1);
+      testing::TempDir() + "/fsaic_log_test_file_sink.jsonl";
   {
-    auto log = Logger::from_env();
-    ASSERT_NE(log, nullptr);
-    EXPECT_FALSE(log->enabled(LogLevel::Info));
-    log->warn("env.configured");
+    Logger log(path, LogLevel::Warn);
+    EXPECT_FALSE(log.enabled(LogLevel::Info));
+    EXPECT_TRUE(log.enabled(LogLevel::Warn));
+    log.info("file.dropped");
+    log.warn("file.configured");
   }
-  ::unsetenv("FSAIC_LOG");
-  ::unsetenv("FSAIC_LOG_LEVEL");
 
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(JsonValue::parse(line).at("event").as_string(), "env.configured");
+  EXPECT_EQ(JsonValue::parse(line).at("event").as_string(), "file.configured");
+  EXPECT_FALSE(std::getline(in, line));
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ TEST(SolvePipelineTest, StagesAndServiceGiveOneResidualHistory) {
     req.rhs_seed = 7;
     req.want_history = true;
 
-    const CommConfig comm = CommConfig::from_env();
+    const CommConfig comm;
     const SolveSystem sys =
         wgen::is_workload_spec(op)
             ? generate_system(op, req.ranks, comm)

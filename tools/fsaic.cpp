@@ -21,16 +21,15 @@
 //         --filter F          filter value               (default 0.01)
 //         --static            static instead of dynamic filtering
 //         --machine M         skylake|a64fx|zen2         (default skylake)
-//         --comm C            flat|node-aware halo exchange (default flat;
-//                             FSAIC_COMM sets the default). node-aware
-//                             coalesces inter-node messages through node
-//                             leaders and overlaps the exchange with the
-//                             interior SpMV — residuals stay bit-identical
-//         --ranks-per-node N  simulated ranks per node (the
-//                             FSAIC_RANKS_PER_NODE env var sets the default).
-//                             When neither is given under --comm node-aware,
-//                             the cheapest of {1,2,4,8} per the machine's
-//                             cost model is picked automatically
+//         --comm C            flat|node-aware halo exchange (default flat).
+//                             node-aware coalesces inter-node messages
+//                             through node leaders and overlaps the exchange
+//                             with the interior SpMV — residuals stay
+//                             bit-identical
+//         --ranks-per-node N  simulated ranks per node. When not given under
+//                             --comm node-aware, the cheapest of {1,2,4,8}
+//                             per the machine's cost model is picked
+//                             automatically
 //         --tol T             relative tolerance         (default 1e-8)
 //         --format F          csr|sell|auto rank-local kernel backend
 //                             (default csr; FSAIC_FORMAT sets the default).
@@ -42,9 +41,6 @@
 //                             single stores G and G^T in float32 (double
 //                             accumulation, CG vectors stay double); the
 //                             system matrix always stays double
-//         --separate-sweeps   run the historic separate AXPY/XPBY sweeps
-//                             instead of the fused single-pass kernels
-//                             (bit-identical; for A/B benchmarking)
 //         --pipelined         Chronopoulos-Gear CG (1 allreduce/iter)
 //         --gmres             restarted GMRES(50) instead of CG
 //         --rcm               apply RCM reordering before partitioning
@@ -84,8 +80,7 @@
 //         --prom PATH         Prometheus text-format metrics exposition
 //         --metrics-interval S  refresh --metrics/--prom every S seconds
 //                             (atomic file replace; 0 = end of run only)
-//         --log PATH          structured JSONL log ("-" = stderr); the
-//                             FSAIC_LOG env var is the flagless equivalent
+//         --log PATH          structured JSONL log ("-" = stderr)
 //         --log-level L       debug|info|warn|error       (default info)
 //         --trace PATH        Chrome trace_event JSON of the request
 //                             lifecycle (queue/setup/solve slices per rid)
@@ -98,13 +93,21 @@
 //       List the built-in synthetic suites.
 //   fsaic generate <entry-name> <out.mtx>
 //       Write one suite matrix to a MatrixMarket file.
-//   fsaic gen      <spec> [--ranks P] [--out file.mtx]
+//   fsaic gen      <spec> [--ranks P] [--comm C] [--ranks-per-node N]
+//                  [--out file.mtx]
 //       Resolve a workload spec ("stencil3d:n=100", "rgg2d:rows_per_rank=
 //       65536,radius=auto", ...), generate it rank-local over P simulated
 //       ranks and print operator + distribution stats (rows, nnz, per-rank
 //       peak, halo volume, content fingerprint). --out additionally writes
 //       the assembled operator to a MatrixMarket file (this one path does
 //       materialize the global matrix; see docs/workload-generation.md).
+//
+// Each subcommand accepts only the options listed for it. An unknown option,
+// a value option without a value, and an out-of-range number (--ranks,
+// --threads and --ranks-per-node below 1, --tol not above 0, --filter below
+// 0) fail with a message naming the option and exit 1 before any file is
+// read.
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -114,6 +117,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/format.hpp"
@@ -171,45 +176,91 @@ struct Args {
     }
     return fallback;
   }
+  /// --key as a number (fallback when absent); a malformed value throws,
+  /// naming the option.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& key, T fallback) const {
+    if (!has(key)) return fallback;
+    const std::string v = get(key, "");
+    try {
+      if constexpr (std::is_integral_v<T>) {
+        const long long n = std::stoll(v);
+        if (!std::in_range<T>(n)) throw std::out_of_range(v);
+        return static_cast<T>(n);
+      } else {
+        return static_cast<T>(std::stod(v));
+      }
+    } catch (const std::logic_error&) {
+      throw Error(strformat("option --%s expects a number, got \"%s\"",
+                            key.c_str(), v.c_str()));
+    }
+  }
 };
 
-Args parse_args(int argc, char** argv, int first) {
+/// The options one subcommand accepts: `values` take the next argument,
+/// `flags` are boolean switches.
+struct OptionSpec {
+  std::vector<std::string> values;
+  std::vector<std::string> flags;
+};
+
+Args parse_args(int argc, char** argv, int first, const OptionSpec& spec) {
+  const auto listed = [](const std::vector<std::string>& names,
+                         const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   Args args;
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      // Flags with values: everything except the boolean switches.
-      const bool boolean = a == "--static" || a == "--pipelined" ||
-                           a == "--rcm" || a == "--gmres" ||
-                           a == "--no-batch" || a == "--once" ||
-                           a == "--separate-sweeps";
-      std::string value;
-      if (!boolean && i + 1 < argc) {
-        value = argv[++i];
-      }
-      args.options.emplace_back(a.substr(2), value);
-    } else {
+    if (a.rfind("--", 0) != 0) {
       args.positional.push_back(a);
+      continue;
     }
+    const std::string key = a.substr(2);
+    if (listed(spec.flags, key)) {
+      args.options.emplace_back(key, "");
+    } else if (listed(spec.values, key)) {
+      if (i + 1 == argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        throw Error(strformat("option %s needs a value", a.c_str()));
+      }
+      args.options.emplace_back(key, argv[++i]);
+    } else {
+      throw Error(strformat("unknown option %s", a.c_str()));
+    }
+  }
+  // Range checks, so a bad number fails here with the option's name instead
+  // of deep inside the library after the matrix has been read.
+  for (const char* key : {"ranks", "threads", "ranks-per-node"}) {
+    if (args.number(key, 1) < 1) {
+      throw Error(strformat("option --%s must be >= 1, got %s", key,
+                            args.get(key, "").c_str()));
+    }
+  }
+  if (!(args.number("tol", 1.0) > 0.0)) {
+    throw Error(strformat("option --tol must be > 0, got %s",
+                          args.get("tol", "").c_str()));
+  }
+  if (!(args.number("filter", 0.0) >= 0.0)) {
+    throw Error(strformat("option --filter must be >= 0, got %s",
+                          args.get("filter", "").c_str()));
   }
   return args;
 }
 
-/// Communication scheme of `solve` and `gen`: environment first (FSAIC_COMM,
-/// FSAIC_RANKS_PER_NODE), explicit --comm / --ranks-per-node win.
+/// Communication scheme of `solve` and `gen`: flat unless --comm /
+/// --ranks-per-node say otherwise.
 CommConfig comm_from_args(const Args& args) {
-  CommConfig comm = CommConfig::from_env();
+  CommConfig comm;
   if (args.has("comm")) {
     comm.mode = comm_mode_from_string(args.get("comm", "flat"));
   }
-  if (args.has("ranks-per-node")) {
-    comm.ranks_per_node = std::max(1, std::stoi(args.get("ranks-per-node", "1")));
-  }
+  comm.ranks_per_node = args.number("ranks-per-node", 1);
   return comm;
 }
 
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) return usage();
+  const auto nranks = args.number<rank_t>("ranks", 8);
   const CsrMatrix a = read_matrix_market_file(args.positional[0]);
   const auto s = compute_matrix_stats(a);
   std::cout << args.positional[0] << "\n"
@@ -225,7 +276,6 @@ int cmd_analyze(const Args& args) {
   const Graph g = Graph::from_pattern(a.pattern());
   std::cout << "  graph: " << g.num_edges() << " edges, "
             << g.component_count() << " component(s)\n";
-  const auto nranks = static_cast<rank_t>(std::stoi(args.get("ranks", "8")));
   const PartitionedSystem sys = partition_system(a, nranks);
   const auto dist = DistCsr::distribute(sys.matrix, sys.layout);
   std::cout << "  partition into " << nranks << " ranks: edge cut "
@@ -252,8 +302,8 @@ int cmd_solve(const Args& args) {
       gen_mode ? args.get("gen", "") : args.positional[0];
 
   const Machine machine = machine_by_name(args.get("machine", "skylake"));
-  const auto nranks = static_cast<rank_t>(std::stoi(args.get("ranks", "8")));
-  const int threads = std::stoi(args.get("threads", "8"));
+  const auto nranks = args.number<rank_t>("ranks", 8);
+  const int threads = args.number("threads", 8);
   // `--threads` has always parameterized the *cost model* (default 8); it
   // switches the actual execution engine only when passed explicitly, so a
   // bare `fsaic solve m.mtx` stays sequential. FSAIC_THREADS sets the
@@ -261,8 +311,8 @@ int cmd_solve(const Args& args) {
   ExecPolicy exec_policy = ExecPolicy::from_env();
   if (args.has("threads")) exec_policy.nthreads = threads;
   const auto exec = make_executor(exec_policy);
-  const value_t filter = std::stod(args.get("filter", "0.01"));
-  const value_t tol = std::stod(args.get("tol", "1e-8"));
+  const value_t filter = args.number<value_t>("filter", 0.01);
+  const value_t tol = args.number<value_t>("tol", 1e-8);
   const std::string method = args.get("method", "fsaie-comm");
   // Build options of the FSAI family; an unknown method name fails here,
   // before the operator is read or generated.
@@ -273,9 +323,9 @@ int cmd_solve(const Args& args) {
         method, filter,
         args.has("static") ? FilterStrategy::Static : FilterStrategy::Dynamic);
   }
+  CommConfig comm = comm_from_args(args);
   CsrMatrix a;  // stays empty with --gen: the operator is generated rank-local
   if (!gen_mode) a = read_matrix_market_file(operator_name);
-  CommConfig comm = comm_from_args(args);
 
   // Observability attachments: a trace recorder shared by the setup pipeline
   // and the solver, and a collecting sink feeding the JSONL report. Both are
@@ -366,10 +416,8 @@ int cmd_solve(const Args& args) {
   // Node-aware runs without an explicit node geometry pick one: score the
   // candidate ranks-per-node values against the machine's cost model (one
   // modeled CG iteration = SpMV halo exchange + 3 allreduces) and keep the
-  // cheapest. Explicit --ranks-per-node or FSAIC_RANKS_PER_NODE wins.
-  const char* rpn_env = std::getenv("FSAIC_RANKS_PER_NODE");
-  if (comm.mode == CommMode::NodeAware && !args.has("ranks-per-node") &&
-      (rpn_env == nullptr || *rpn_env == '\0')) {
+  // cheapest. An explicit --ranks-per-node wins.
+  if (comm.mode == CommMode::NodeAware && !args.has("ranks-per-node")) {
     int best_rpn = 1;
     double best_score = 0.0;
     for (const int rpn : {1, 2, 4, 8}) {
@@ -414,7 +462,7 @@ int cmd_solve(const Args& args) {
   } else if (method == "block-ic0") {
     precond = std::make_unique<BlockIc0Preconditioner>(a_dist);
   } else if (method == "schwarz") {
-    const int overlap = std::stoi(args.get("overlap", "1"));
+    const int overlap = args.number("overlap", 1);
     auto ras = std::make_unique<SchwarzPreconditioner>(
         assembled(), system.layout(), overlap);
     std::cout << "schwarz overlap " << overlap << ": "
@@ -504,11 +552,10 @@ int cmd_solve(const Args& args) {
     std::cout << "mixed precision: factors stored float32, CG vectors and A "
                  "stay double\n";
   }
-  const bool fused = !args.has("separate-sweeps");
   DistVector x(system.layout());
   const SolveOptions solve_opts{.rel_tol = tol, .max_iterations = 100000,
                                 .sink = sinkp, .trace = trace,
-                                .exec = exec.get(), .fused_sweeps = fused};
+                                .exec = exec.get()};
   const SolveResult r =
       args.has("gmres")
           ? gmres_solve(a_dist, b, x, *precond,
@@ -578,7 +625,6 @@ int cmd_solve(const Args& args) {
     rec["precision"] = to_string(factor_kernel.precision);
     rec["padding_ratio"] = a_dist.padding_ratio();
     rec["factor_padding_ratio"] = factor_padding;
-    rec["fused_sweeps"] = fused;
     rec["exec_threads"] = exec->nthreads();
     rec["exec_supersteps"] = static_cast<std::int64_t>(exec->stats().supersteps);
     rec["converged"] = r.converged;
@@ -617,12 +663,12 @@ int cmd_bench(const Args& args) {
 
   ExperimentConfig cfg;
   cfg.machine = machine_by_name(args.get("machine", large ? "zen2" : "skylake"));
-  cfg.threads_per_rank = std::stoi(args.get("threads", "8"));
+  cfg.threads_per_rank = args.number("threads", 8);
   if (large) {
     cfg.nnz_per_rank = 8000;
     cfg.max_ranks = 64;
   }
-  const value_t filter = std::stod(args.get("filter", "0.01"));
+  const value_t filter = args.number<value_t>("filter", 0.01);
 
   ExperimentRunner runner(cfg);
   MetricsRegistry metrics;
@@ -667,31 +713,25 @@ int cmd_bench(const Args& args) {
 // protocol schema and backpressure semantics.
 int cmd_serve(const Args& args) {
   ServiceOptions opts;
-  opts.workers = std::stoi(args.get("workers", "1"));
-  opts.queue_capacity =
-      static_cast<std::size_t>(std::stoul(args.get("queue-capacity", "64")));
-  opts.cache_capacity =
-      static_cast<std::size_t>(std::stoul(args.get("cache-capacity", "8")));
-  opts.solver_threads = std::stoi(args.get("solver-threads", "1"));
+  opts.workers = args.number("workers", 1);
+  opts.queue_capacity = args.number<std::size_t>("queue-capacity", 64);
+  opts.cache_capacity = args.number<std::size_t>("cache-capacity", 8);
+  opts.solver_threads = args.number("solver-threads", 1);
   opts.batching = !args.has("no-batch");
   // Disk tier: factors persist to --store and survive process restarts (a
   // warm restart reloads them on first miss instead of rebuilding).
   opts.store_dir = args.get("store", "");
-  opts.store_max_bytes =
-      static_cast<std::size_t>(std::stoull(args.get("store-max-bytes", "0")));
+  opts.store_max_bytes = args.number<std::size_t>("store-max-bytes", 0);
 
   MetricsRegistry metrics;
   opts.metrics = &metrics;
 
-  // Structured logging: --log/--log-level win; FSAIC_LOG / FSAIC_LOG_LEVEL
-  // are the flagless equivalent (useful under CI wrappers).
+  // Structured logging: off unless --log names a sink.
   std::unique_ptr<Logger> log;
   if (args.has("log")) {
     log = std::make_unique<Logger>(
         args.get("log", ""),
         log_level_from_string(args.get("log-level", "info")));
-  } else {
-    log = Logger::from_env();
   }
   opts.log = log.get();
 
@@ -712,7 +752,7 @@ int cmd_serve(const Args& args) {
   // Periodic exposition: a background thread atomically replaces the
   // --metrics / --prom files every --metrics-interval seconds, so a scraper
   // tailing the service always reads a complete, current snapshot.
-  const double interval_s = std::stod(args.get("metrics-interval", "0"));
+  const double interval_s = args.number("metrics-interval", 0.0);
   std::mutex snap_mutex;
   std::condition_variable snap_cv;
   bool snap_stop = false;
@@ -771,7 +811,7 @@ int cmd_serve(const Args& args) {
 
   if (args.has("watch")) {
     const std::string dir = args.get("watch", "");
-    const int poll_ms = std::stoi(args.get("poll-ms", "200"));
+    const int poll_ms = args.number("poll-ms", 200);
     std::cout << "watching " << dir << " for *.jsonl request files ("
               << opts.workers << " workers, cache capacity "
               << opts.cache_capacity << ")\n";
@@ -844,7 +884,7 @@ int cmd_generate(const Args& args) {
 // export.
 int cmd_gen(const Args& args) {
   if (args.positional.empty()) return usage();
-  const auto nranks = static_cast<rank_t>(std::stoi(args.get("ranks", "8")));
+  const auto nranks = args.number<rank_t>("ranks", 8);
   const wgen::WorkloadSpec spec =
       wgen::parse_workload_spec(args.positional[0]);
   const wgen::ResolvedWorkload w = wgen::resolve_workload(spec, nranks);
@@ -876,15 +916,34 @@ int cmd_gen(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    OptionSpec options;
+  };
+  const std::vector<Command> commands = {
+      {"analyze", cmd_analyze, {{"ranks"}, {}}},
+      {"solve",
+       cmd_solve,
+       {{"gen", "method", "overlap", "ranks", "threads", "filter", "machine",
+         "comm", "ranks-per-node", "tol", "format", "precision", "rhs",
+         "save-factor", "load-factor", "trace", "report"},
+        {"static", "pipelined", "gmres", "rcm"}}},
+      {"bench", cmd_bench, {{"machine", "threads", "filter", "report"}, {}}},
+      {"serve",
+       cmd_serve,
+       {{"requests", "report", "workers", "queue-capacity", "cache-capacity",
+         "store", "store-max-bytes", "solver-threads", "metrics", "prom",
+         "metrics-interval", "log", "log-level", "trace", "watch", "poll-ms"},
+        {"no-batch", "once"}}},
+      {"suite", cmd_suite, {}},
+      {"generate", cmd_generate, {}},
+      {"gen", cmd_gen, {{"ranks", "comm", "ranks-per-node", "out"}, {}}},
+  };
   try {
-    const Args args = parse_args(argc, argv, 2);
-    if (cmd == "analyze") return cmd_analyze(args);
-    if (cmd == "solve") return cmd_solve(args);
-    if (cmd == "bench") return cmd_bench(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "suite") return cmd_suite(args);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "gen") return cmd_gen(args);
+    for (const Command& c : commands) {
+      if (cmd == c.name) return c.run(parse_args(argc, argv, 2, c.options));
+    }
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "fsaic: " << e.what() << "\n";
