@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/error.hpp"
+#include "common/format.hpp"
 #include "exec/threaded_executor.hpp"
 
 namespace fsaic {
@@ -13,7 +15,7 @@ ExecPolicy ExecPolicy::from_env() {
   const char* env = std::getenv("FSAIC_THREADS");
   if (env == nullptr || *env == '\0') return policy;
   try {
-    policy.nthreads = std::clamp(std::stoi(env), 1, 256);
+    policy.nthreads = std::clamp(std::stoi(env), 1, kMaxThreads);
   } catch (const std::exception&) {
     policy.nthreads = 1;  // unparsable -> sequential, never a hard failure
   }
@@ -21,6 +23,9 @@ ExecPolicy ExecPolicy::from_env() {
 }
 
 std::unique_ptr<Executor> make_executor(const ExecPolicy& policy) {
+  FSAIC_REQUIRE(policy.nthreads <= ExecPolicy::kMaxThreads,
+                strformat("executor threads must be <= %d, got %d",
+                          ExecPolicy::kMaxThreads, policy.nthreads));
   if (policy.threaded()) {
     return std::make_unique<ThreadedExecutor>(policy.nthreads);
   }

@@ -15,16 +15,19 @@
 namespace fsaic {
 
 struct ExecPolicy {
+  /// Most threads one executor may start.
+  static constexpr int kMaxThreads = 256;
+
   int nthreads = 1;
 
   [[nodiscard]] bool threaded() const { return nthreads > 1; }
 
   /// Policy from FSAIC_THREADS (unset, empty, or unparsable -> sequential;
-  /// values are clamped to [1, 256]).
+  /// values are clamped to [1, kMaxThreads]).
   static ExecPolicy from_env();
 };
 
-/// Build the executor a policy describes.
+/// Build the executor a policy describes; nthreads above kMaxThreads throws.
 std::unique_ptr<Executor> make_executor(const ExecPolicy& policy);
 
 }  // namespace fsaic

@@ -37,16 +37,17 @@ void tree_reduce_serial(std::span<value_t> partials, int width,
   }
 }
 
+AsyncAllreduce::AsyncAllreduce(std::vector<value_t> partials, int width)
+    : result_(static_cast<std::size_t>(std::max(width, 1)), 0.0) {
+  tree_reduce_serial(partials, width, result_);
+}
+
 void AsyncAllreduce::wait(std::span<value_t> out) {
-  FSAIC_REQUIRE(state_ != nullptr, "no asynchronous allreduce in flight");
-  FSAIC_REQUIRE(out.size() == static_cast<std::size_t>(state_->width),
+  FSAIC_REQUIRE(pending(), "no asynchronous allreduce in flight");
+  FSAIC_REQUIRE(out.size() == result_.size(),
                 "allreduce output must hold width values");
-  {
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->cv.wait(lock, [&] { return state_->done; });
-  }
-  std::copy(state_->result.begin(), state_->result.end(), out.begin());
-  state_.reset();
+  std::copy(result_.begin(), result_.end(), out.begin());
+  result_.clear();
 }
 
 void SeqExecutor::parallel_ranks(rank_t nranks,
@@ -77,14 +78,7 @@ void SeqExecutor::allreduce_sum(std::span<value_t> partials, int width,
 
 AsyncAllreduce SeqExecutor::allreduce_begin(std::vector<value_t> partials,
                                             int width) {
-  // No team to overlap with: reduce eagerly, wait() returns immediately.
-  AsyncAllreduce handle;
-  handle.state_ = std::make_shared<AsyncAllreduce::State>();
-  handle.state_->width = width;
-  handle.state_->partials = std::move(partials);
-  handle.state_->result.assign(static_cast<std::size_t>(width), 0.0);
-  tree_reduce_serial(handle.state_->partials, width, handle.state_->result);
-  handle.state_->done = true;
+  AsyncAllreduce handle(std::move(partials), width);
   ++allreduces_;
   return handle;
 }

@@ -13,11 +13,8 @@
 // its thread count. The tree's shape depends only on the number of ranks.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -30,8 +27,9 @@ struct ExecStats {
   int nthreads = 1;
   std::uint64_t supersteps = 0;
   std::uint64_t allreduces = 0;
-  /// Per team thread: accumulated time spent waiting at superstep barriers
-  /// (load imbalance). Empty for the sequential executor.
+  /// Per team slot: accumulated time spent waiting for the rest of the team
+  /// at the end of supersteps (load imbalance). Empty for the sequential
+  /// executor.
   std::vector<double> barrier_wait_us;
 
   [[nodiscard]] double max_barrier_wait_us() const {
@@ -52,16 +50,15 @@ void tree_combine_step(std::span<value_t> partials, rank_t nranks, int width,
 /// The full fixed-order tree reduction run serially: strides 1, 2, 4, ...
 /// over nranks rows of `width`, leaving the sums in `out`. This is the exact
 /// addition sequence both executors' blocking allreduce performs, and what
-/// the threaded executor's background combiner runs for asynchronous
-/// reductions — one code path, so every variant is bit-identical.
+/// both run for asynchronous reductions — one code path, so every variant is
+/// bit-identical.
 void tree_reduce_serial(std::span<value_t> partials, int width,
                         std::span<value_t> out);
 
-/// Handle to an in-flight asynchronous sum-allreduce started with
-/// Executor::allreduce_begin. Under the threaded executor the reduction
-/// progresses on a background combiner thread while the issuing code keeps
-/// running supersteps (genuine comm/compute overlap); the sequential
-/// executor completes it eagerly at begin. Either way wait() delivers the
+/// Handle to an asynchronous sum-allreduce started with
+/// Executor::allreduce_begin. Both executors reduce eagerly on the calling
+/// thread at begin: with the SPMD team busy on every core, a separate
+/// combiner thread has no core to overlap on. wait() delivers the
 /// fixed-order tree result — bit-identical to a blocking allreduce_sum of
 /// the same partials.
 class AsyncAllreduce {
@@ -69,26 +66,19 @@ class AsyncAllreduce {
   AsyncAllreduce() = default;
 
   /// True while a begun reduction has not been waited on.
-  [[nodiscard]] bool pending() const { return state_ != nullptr; }
+  [[nodiscard]] bool pending() const { return !result_.empty(); }
 
-  /// Block until the reduction is done, copy the sums into `out` (size
-  /// width), and release the handle.
+  /// Copy the sums into `out` (size width) and release the handle.
   void wait(std::span<value_t> out);
 
  private:
   friend class SeqExecutor;
   friend class ThreadedExecutor;
 
-  struct State {
-    std::vector<value_t> partials;
-    int width = 0;
-    std::vector<value_t> result;
-    bool done = false;
-    std::mutex mutex;
-    std::condition_variable cv;
-  };
+  /// Reduce nranks rows of `width` partials now.
+  AsyncAllreduce(std::vector<value_t> partials, int width);
 
-  std::shared_ptr<State> state_;
+  std::vector<value_t> result_;  ///< width sums; empty once waited on
 };
 
 class Executor {
@@ -99,8 +89,8 @@ class Executor {
   [[nodiscard]] virtual int nthreads() const = 0;
 
   /// One superstep: f(p) for every rank p in [0, nranks). The threaded
-  /// executor runs ranks concurrently and barriers before returning; rank
-  /// bodies may only write rank-private data (their own vector blocks,
+  /// executor runs ranks concurrently and waits for all before returning;
+  /// rank bodies may only write rank-private data (their own vector blocks,
   /// their own row of a partials array, their own mailboxes).
   virtual void parallel_ranks(rank_t nranks,
                               const std::function<void(rank_t)>& f) = 0;
@@ -126,10 +116,8 @@ class Executor {
 
   /// Start an asynchronous sum-allreduce of nranks rows of `width` values
   /// (the vector is consumed). The returned handle's wait() yields the same
-  /// bits as allreduce_sum of the same partials — the combiner runs the
-  /// identical fixed-order tree. The threaded executor reduces on a
-  /// background thread so supersteps issued between begin and wait overlap
-  /// the reduction; the sequential executor completes it at begin.
+  /// bits as allreduce_sum of the same partials — the same fixed-order tree,
+  /// run at begin on the calling thread.
   virtual AsyncAllreduce allreduce_begin(std::vector<value_t> partials,
                                          int width) = 0;
 

@@ -9,17 +9,17 @@ namespace fsaic {
 
 namespace {
 
-// Set while a worker executes a rank body. A distributed operation invoked
+// Set while a team slot executes a rank body. A distributed operation invoked
 // from inside a superstep (e.g. a preconditioner that calls spmv from a rank
-// body) must not re-enter the engine — it would deadlock on the barriers —
-// so nested parallel regions degrade to an inline loop on the calling
-// thread. The worker slot is remembered alongside so a degraded
-// parallel_for still indexes that worker's private scratch.
+// body) must not re-enter the engine — the team is busy with the outer
+// superstep — so nested parallel regions degrade to an inline loop on the
+// calling thread. The slot is remembered alongside so a degraded
+// parallel_for still indexes that slot's private scratch.
 thread_local bool in_spmd_region = false;
 thread_local int spmd_worker_slot = 0;
 
 // RAII so the flag is restored even when a rank body throws (the engine
-// captures the exception and the worker thread lives on).
+// captures the exception and the thread lives on).
 struct SpmdRegionGuard {
   explicit SpmdRegionGuard(int slot) {
     in_spmd_region = true;
@@ -35,15 +35,6 @@ struct SpmdRegionGuard {
 
 ThreadedExecutor::ThreadedExecutor(int nthreads) : engine_(nthreads) {
   FSAIC_REQUIRE(nthreads >= 2, "threaded executor needs at least two threads");
-}
-
-ThreadedExecutor::~ThreadedExecutor() {
-  {
-    const std::lock_guard<std::mutex> lock(combiner_mutex_);
-    combiner_stop_ = true;
-  }
-  combiner_cv_.notify_all();
-  if (combiner_.joinable()) combiner_.join();
 }
 
 void ThreadedExecutor::parallel_ranks_phased(
@@ -126,7 +117,7 @@ void ThreadedExecutor::allreduce_sum(std::span<value_t> partials, int width,
                 "allreduce output must hold width values");
   const auto nranks =
       static_cast<rank_t>(partials.size() / static_cast<std::size_t>(width));
-  // One superstep per tree level; the barrier between levels publishes the
+  // One superstep per tree level; the end of each superstep publishes the
   // partial sums of level l to the combining ranks of level l+1.
   for (rank_t stride = 1; stride < nranks; stride *= 2) {
     parallel_ranks(nranks, [&](rank_t p) {
@@ -140,49 +131,9 @@ void ThreadedExecutor::allreduce_sum(std::span<value_t> partials, int width,
   ++allreduces_;
 }
 
-void ThreadedExecutor::ensure_combiner() {
-  if (combiner_.joinable()) return;
-  combiner_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(combiner_mutex_);
-    for (;;) {
-      combiner_cv_.wait(
-          lock, [&] { return combiner_stop_ || !combiner_queue_.empty(); });
-      if (combiner_queue_.empty()) {
-        if (combiner_stop_) return;
-        continue;
-      }
-      auto state = std::move(combiner_queue_.front());
-      combiner_queue_.pop_front();
-      lock.unlock();
-      tree_reduce_serial(state->partials, state->width, state->result);
-      {
-        const std::lock_guard<std::mutex> state_lock(state->mutex);
-        state->done = true;
-      }
-      state->cv.notify_all();
-      lock.lock();
-    }
-  });
-}
-
 AsyncAllreduce ThreadedExecutor::allreduce_begin(std::vector<value_t> partials,
                                                  int width) {
-  AsyncAllreduce handle;
-  handle.state_ = std::make_shared<AsyncAllreduce::State>();
-  handle.state_->width = width;
-  handle.state_->partials = std::move(partials);
-  handle.state_->result.assign(static_cast<std::size_t>(width), 0.0);
-  FSAIC_REQUIRE(width >= 1 &&
-                    handle.state_->partials.size() %
-                            static_cast<std::size_t>(width) ==
-                        0,
-                "allreduce partials must be nranks rows of width values");
-  {
-    const std::lock_guard<std::mutex> lock(combiner_mutex_);
-    ensure_combiner();
-    combiner_queue_.push_back(handle.state_);
-  }
-  combiner_cv_.notify_one();
+  AsyncAllreduce handle(std::move(partials), width);
   ++allreduces_;
   return handle;
 }

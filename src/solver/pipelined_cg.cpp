@@ -58,13 +58,14 @@ FusedDots fused_dots(const DistVector& r, const DistVector& u,
   return d;
 }
 
-/// The per-iteration reductions, restructured for genuine overlap: one
-/// superstep computes the same per-rank (r.u, w.u, r.r) accumulators as the
-/// historic width-3 fused reduction, but only (r.u, w.u) — which gate the
+/// The per-iteration reductions, restructured for overlap: one superstep
+/// computes the same per-rank (r.u, w.u, r.r) accumulators as the historic
+/// width-3 fused reduction, but only (r.u, w.u) — which gate the
 /// recurrence — are combined with a blocking width-2 allreduce. The
 /// residual-norm reduction is started asynchronously (before the blocking
-/// one, so the background combiner overlaps it) and waited on one iteration
-/// later, behind the next preconditioner application and SpMV. Splitting
+/// one) and waited on one iteration later, behind the next preconditioner
+/// application and SpMV — the shape a non-blocking MPI allreduce would
+/// overlap; in process, both executors complete it at begin. Splitting
 /// the width-3 tree into width-2 + width-1 is bit-exact: tree columns never
 /// interact, and the tree shape depends only on the rank count.
 struct PipelinedDots {

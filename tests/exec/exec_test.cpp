@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "common/rng.hpp"
 #include "core/fsai_driver.hpp"
 #include "core/spai.hpp"
 #include "dist/dist_csr.hpp"
-#include "exec/barrier.hpp"
 #include "exec/exec_policy.hpp"
 #include "exec/executor.hpp"
 #include "exec/halo.hpp"
@@ -23,42 +25,87 @@
 namespace fsaic {
 namespace {
 
-// ---- Barrier ------------------------------------------------------------
+// ---- SPMD engine --------------------------------------------------------
 
-TEST(BarrierTest, ReleasesAllPartiesAndIsReusableAcrossGenerations) {
-  constexpr int kParties = 4;
-  constexpr int kGenerations = 50;
-  Barrier barrier(kParties);
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlap{false};
-
-  std::vector<std::thread> team;
-  team.reserve(kParties);
-  for (int t = 0; t < kParties; ++t) {
-    team.emplace_back([&] {
-      for (int g = 0; g < kGenerations; ++g) {
-        // If the barrier released a generation early, more than kParties
-        // increments could be live between two waits.
-        if (inside.fetch_add(1) + 1 > kParties) overlap = true;
-        barrier.arrive_and_wait();
-        inside.fetch_sub(1);
-        barrier.arrive_and_wait();
-      }
-    });
+TEST(SpmdEngineTest, BackToBackSuperstepsRunEverySlotOncePerStep) {
+  constexpr int kSteps = 10000;
+  for (const int nthreads : {2, 3, 4, 8}) {
+    ThreadedExecutor exec(nthreads);
+    const auto before = exec.stats().supersteps;
+    // One rank per slot, so rank p is slot p's own counter.
+    std::vector<int> bumps(static_cast<std::size_t>(nthreads), 0);
+    bool in_step = true;
+    for (int s = 0; s < kSteps && in_step; ++s) {
+      exec.parallel_ranks(nthreads, [&](rank_t p) {
+        ++bumps[static_cast<std::size_t>(p)];
+      });
+      // run() returns only after every slot finished this step, and the
+      // slots' writes are visible here.
+      for (const int b : bumps) in_step = in_step && b == s + 1;
+    }
+    EXPECT_TRUE(in_step) << nthreads << " threads";
+    EXPECT_EQ(exec.stats().supersteps - before,
+              static_cast<std::uint64_t>(kSteps));
   }
-  for (auto& th : team) th.join();
-
-  EXPECT_FALSE(overlap.load());
-  EXPECT_EQ(barrier.generation(), 2u * kGenerations);
-  EXPECT_EQ(barrier.parties(), kParties);
 }
 
-TEST(BarrierTest, SinglePartyNeverBlocks) {
-  Barrier barrier(1);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(barrier.arrive_and_wait(), 0.0);
+TEST(SpmdEngineTest, NestedRegionsRunInlineOnTheirSlot) {
+  // One rank per slot; slot 0 is the calling thread. Every slot's nested
+  // parallel_ranks and parallel_for must stay on that slot's thread.
+  constexpr int kSlots = 3;
+  ThreadedExecutor exec(kSlots);
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> ranks_seen(kSlots, 0);
+  std::vector<int> items_seen(kSlots, 0);
+  std::vector<int> inline_ok(kSlots, 1);
+  exec.parallel_ranks(kSlots, [&](rank_t p) {
+    const auto slot = static_cast<std::size_t>(p);
+    const auto me = std::this_thread::get_id();
+    if (p == 0 && me != caller) inline_ok[slot] = 0;
+    exec.parallel_ranks(5, [&](rank_t) {
+      if (std::this_thread::get_id() != me) inline_ok[slot] = 0;
+      ++ranks_seen[slot];
+    });
+    exec.parallel_for(7, [&](index_t, int s) {
+      if (s != p || std::this_thread::get_id() != me) inline_ok[slot] = 0;
+      ++items_seen[slot];
+    });
+  });
+  for (int t = 0; t < kSlots; ++t) {
+    const auto slot = static_cast<std::size_t>(t);
+    EXPECT_EQ(inline_ok[slot], 1) << "slot " << t;
+    EXPECT_EQ(ranks_seen[slot], 5) << "slot " << t;
+    EXPECT_EQ(items_seen[slot], 7) << "slot " << t;
   }
-  EXPECT_EQ(barrier.generation(), 10u);
+}
+
+TEST(SpmdEngineTest, PhasedWorksWaitingOnOtherSlotsPostsComplete) {
+  // 8 ranks on 3 slots: {0,1} {2,3,4} {5,6,7}. work(p) waits for the post
+  // of rank p+3 (mod 8), which always lives on another slot, so the step
+  // completes only if all three slots run concurrently.
+  ThreadedExecutor exec(3);
+  constexpr rank_t kRanks = 8;
+  std::vector<std::atomic<bool>> posted(kRanks);
+  std::atomic<bool> timed_out{false};
+  exec.parallel_ranks_phased(
+      kRanks,
+      [&](rank_t p) {
+        posted[static_cast<std::size_t>(p)].store(true,
+                                                  std::memory_order_release);
+      },
+      [&](rank_t p) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        const auto& peer = posted[static_cast<std::size_t>((p + 3) % kRanks)];
+        while (!peer.load(std::memory_order_acquire)) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            timed_out = true;
+            return;
+          }
+          std::this_thread::yield();
+        }
+      });
+  EXPECT_FALSE(timed_out.load());
 }
 
 // ---- executor determinism ----------------------------------------------
@@ -116,9 +163,8 @@ TEST(ExecutorTest, ParallelRanksVisitsEveryRankExactlyOnce) {
 TEST(ExecutorTest, NestedParallelRanksFallsBackToInlineLoop) {
   ThreadedExecutor exec(2);
   std::vector<int> inner_visits(4, 0);
-  // A rank body that re-enters the executor must not deadlock on the team
-  // barriers; the nested superstep degrades to an inline loop on the
-  // calling worker.
+  // A rank body that re-enters the executor must not wait on the busy team;
+  // the nested superstep degrades to an inline loop on the calling slot.
   exec.parallel_ranks(1, [&](rank_t) {
     exec.parallel_ranks(4, [&](rank_t q) {
       ++inner_visits[static_cast<std::size_t>(q)];
@@ -129,15 +175,22 @@ TEST(ExecutorTest, NestedParallelRanksFallsBackToInlineLoop) {
 
 TEST(ExecutorTest, ExceptionsInRankBodiesPropagateToTheCaller) {
   ThreadedExecutor exec(4);
-  EXPECT_THROW(exec.parallel_ranks(8,
-                                   [](rank_t p) {
-                                     FSAIC_REQUIRE(p != 5, "rank 5 failed");
-                                   }),
-               Error);
-  // The team must survive a throwing superstep and stay usable.
-  std::atomic<int> count{0};
-  exec.parallel_ranks(8, [&](rank_t) { ++count; });
-  EXPECT_EQ(count.load(), 8);
+  // Rank 0 runs on slot 0 (the calling thread), rank 5 on a helper.
+  for (const rank_t failing : {0, 5}) {
+    const std::string what = strformat("rank %d failed", failing);
+    try {
+      exec.parallel_ranks(8, [&](rank_t p) {
+        FSAIC_REQUIRE(p != failing, what);
+      });
+      ADD_FAILURE() << "rank " << failing << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos);
+    }
+    // The team must survive a throwing superstep and stay usable.
+    std::atomic<int> count{0};
+    exec.parallel_ranks(8, [&](rank_t) { ++count; });
+    EXPECT_EQ(count.load(), 8);
+  }
 }
 
 // ---- parallel_for -------------------------------------------------------
@@ -186,8 +239,8 @@ TEST(ParallelForTest, NestedInsideRankBodyDegradesToInlineLoop) {
   ThreadedExecutor exec(2);
   std::vector<std::atomic<int>> visits(16);
   exec.parallel_ranks(1, [&](rank_t) {
-    // Must not deadlock on the team barriers, and must pass the calling
-    // worker's slot so scratch indexing stays valid.
+    // Must not wait on the busy team, and must pass the calling slot so
+    // scratch indexing stays valid.
     exec.parallel_for(16, [&](index_t i, int slot) {
       EXPECT_GE(slot, 0);
       EXPECT_LT(slot, exec.parallel_for_width());
@@ -295,6 +348,9 @@ TEST(ExecPolicyTest, MakeExecutorSelectsTheEngine) {
   const auto threaded = make_executor({.nthreads = 3});
   EXPECT_TRUE(threaded->threaded());
   EXPECT_EQ(threaded->nthreads(), 3);
+  // Refused before any thread starts.
+  EXPECT_THROW(make_executor({.nthreads = ExecPolicy::kMaxThreads + 1}),
+               Error);
 }
 
 // ---- halo exchange ------------------------------------------------------

@@ -104,9 +104,10 @@
 //
 // Each subcommand accepts only the options listed for it. An unknown option,
 // a value option without a value, and an out-of-range number (--ranks,
-// --threads and --ranks-per-node below 1, --tol not above 0, --filter below
-// 0) fail with a message naming the option and exit 1 before any file is
-// read.
+// --threads, --ranks-per-node, --workers and --solver-threads below 1;
+// --threads, --workers and --solver-threads above 256; --tol not above 0;
+// --filter below 0) fail with a message naming the option and exit 1 before
+// any file is read or thread started.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -230,9 +231,18 @@ Args parse_args(int argc, char** argv, int first, const OptionSpec& spec) {
   }
   // Range checks, so a bad number fails here with the option's name instead
   // of deep inside the library after the matrix has been read.
-  for (const char* key : {"ranks", "threads", "ranks-per-node"}) {
+  for (const char* key : {"ranks", "threads", "ranks-per-node", "workers",
+                          "solver-threads"}) {
     if (args.number(key, 1) < 1) {
       throw Error(strformat("option --%s must be >= 1, got %s", key,
+                            args.get(key, "").c_str()));
+    }
+  }
+  // Each of these starts that many threads.
+  for (const char* key : {"threads", "workers", "solver-threads"}) {
+    if (args.number(key, 1) > ExecPolicy::kMaxThreads) {
+      throw Error(strformat("option --%s must be <= %d, got %s", key,
+                            ExecPolicy::kMaxThreads,
                             args.get(key, "").c_str()));
     }
   }
