@@ -79,14 +79,20 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
       static_cast<double>(result.base_pattern.nnz());
 
   // Distribute G and G^T for the solver, and measure load balance of both.
+  // Distribution and the transpose keep every entry, so each rank's block
+  // holds exactly its rows' entries of G and of G^T.
   {
     ScopedPhase phase(trace, "distribute_factors", "setup");
-    result.g_dist = DistCsr::distribute(result.g, layout);
-    result.gt_dist = DistCsr::distribute(transpose(result.g), layout);
+    result.g_dist = DistCsr::distribute(result.g, layout, {}, options.exec);
+    result.gt_dist =
+        DistCsr::distribute(transpose(result.g), layout, {}, options.exec);
   }
-  const auto g_counts = rank_entry_counts(result.final_pattern, layout);
-  const auto gt_counts =
-      rank_entry_counts(result.final_pattern.transposed(), layout);
+  std::vector<offset_t> g_counts(static_cast<std::size_t>(layout.nranks()));
+  std::vector<offset_t> gt_counts(g_counts.size());
+  for (rank_t p = 0; p < layout.nranks(); ++p) {
+    g_counts[static_cast<std::size_t>(p)] = result.g_dist.block(p).matrix.nnz();
+    gt_counts[static_cast<std::size_t>(p)] = result.gt_dist.block(p).matrix.nnz();
+  }
   result.imbalance_g = imbalance_index(g_counts);
   result.imbalance_gt = imbalance_index(gt_counts);
   return result;

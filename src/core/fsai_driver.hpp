@@ -41,6 +41,8 @@ struct FsaiOptions {
   /// Protect original-pattern entries from the filter (Alg. 2 semantics).
   bool filter_only_added = true;
   /// Setup row-loop engine (null -> the process-wide default executor).
+  /// When non-null it also builds the rank blocks of the distributed G and
+  /// G^T; null distributes them serially on the calling thread.
   Executor* exec = nullptr;
   /// Optional phase tracer (borrowed): the build emits the setup phases
   /// pattern_build / pattern_extension / filtering / factorization.

@@ -99,12 +99,12 @@ void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
   std::vector<offset_t> row_ptr(static_cast<std::size_t>(nloc) + 1, 0);
   std::vector<index_t> col_idx;
   std::vector<value_t> values;
+  // Owned columns keep relative order; ghosts are appended per row then the
+  // row is re-sorted by the remapped index so CSR invariants hold.
+  std::vector<std::pair<index_t, value_t>> entries;
   for (index_t li = 0; li < nloc; ++li) {
     const RowView rv = row(li);
-    // Owned columns keep relative order; ghosts are appended per row then
-    // the row is re-sorted by the remapped index so CSR invariants hold.
-    std::vector<std::pair<index_t, value_t>> entries;
-    entries.reserve(rv.cols.size());
+    entries.clear();
     for (std::size_t k = 0; k < rv.cols.size(); ++k) {
       const index_t j = rv.cols[k];
       index_t lj;
@@ -156,7 +156,7 @@ void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
 }  // namespace
 
 DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
-                            const CommConfig& comm) {
+                            const CommConfig& comm, Executor* exec) {
   FSAIC_REQUIRE(global.rows() == global.cols(),
                 "DistCsr distributes square operators");
   FSAIC_REQUIRE(global.rows() == layout.global_size(),
@@ -166,7 +166,8 @@ DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
   d.col_layout_ = layout;
   d.blocks_.resize(static_cast<std::size_t>(layout.nranks()));
 
-  for (rank_t p = 0; p < layout.nranks(); ++p) {
+  const auto build = [&](index_t pi, int /*slot*/) {
+    const auto p = static_cast<rank_t>(pi);
     const index_t row0 = layout.begin(p);
     build_rank_block(
         layout, p,
@@ -174,6 +175,11 @@ DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
           return RowView{global.row_cols(row0 + li), global.row_vals(row0 + li)};
         },
         d.blocks_[static_cast<std::size_t>(p)]);
+  };
+  if (exec != nullptr) {
+    exec->parallel_for(static_cast<index_t>(layout.nranks()), build);
+  } else {
+    for (rank_t p = 0; p < layout.nranks(); ++p) build(p, 0);
   }
 
   d.finish_build(comm);

@@ -74,9 +74,14 @@ class DistCsr {
   /// y vectors of y = A x are distributed the same way (the paper applies
   /// one partition to the matrix, x and b alike). `comm` selects the halo
   /// exchanger realization (flat mailboxes by default, or node-aware
-  /// leader aggregation).
+  /// leader aggregation). A non-null `exec` builds the rank blocks through
+  /// its parallel_for; nullptr builds them in a plain loop on the calling
+  /// thread, never on the process-wide default executor. Block
+  /// construction is a pure per-rank function, so the result is the same
+  /// either way.
   static DistCsr distribute(const CsrMatrix& global, Layout layout,
-                            const CommConfig& comm = {});
+                            const CommConfig& comm = {},
+                            Executor* exec = nullptr);
 
   /// Assemble a distributed matrix from per-rank row generators WITHOUT a
   /// global CsrMatrix ever existing: `rank_rows(p)` returns rank p's rows

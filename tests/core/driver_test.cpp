@@ -6,6 +6,8 @@
 
 #include "common/rng.hpp"
 #include "dist/comm_scheme.hpp"
+#include "exec/exec_policy.hpp"
+#include "exec/executor.hpp"
 #include "matgen/generators.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/ops.hpp"
@@ -149,6 +151,48 @@ TEST(DriverTest, GtDistIsTransposeOfGDist) {
       EXPECT_DOUBLE_EQ(gt.at(j, i), g.at(i, j));
     }
   }
+}
+
+TEST(DriverTest, ThreadedFactorDistributionMatchesSerial) {
+  // The build's executor also distributes G and G^T rank by rank; the
+  // blocks and both imbalance indices must not depend on it.
+  const auto a = poisson2d(24, 24);
+  const Layout l({0, 100, 300, 301, 576});
+  FsaiOptions opts;
+  opts.extension = ExtensionMode::CommAware;
+  opts.cache_line_bytes = 128;
+  opts.filter = 0.05;
+  opts.filter_strategy = FilterStrategy::Dynamic;
+  SeqExecutor seq;
+  opts.exec = &seq;
+  const auto serial = build_fsai_preconditioner(a, l, opts);
+  const auto team = make_executor({.nthreads = 3});
+  opts.exec = team.get();
+  const auto threaded = build_fsai_preconditioner(a, l, opts);
+
+  for (rank_t p = 0; p < l.nranks(); ++p) {
+    for (const auto& [got, want] :
+         {std::pair{&threaded.g_dist, &serial.g_dist},
+          std::pair{&threaded.gt_dist, &serial.gt_dist}}) {
+      const RankBlock& g = got->block(p);
+      const RankBlock& w = want->block(p);
+      EXPECT_EQ(g.matrix.pattern(), w.matrix.pattern()) << "rank " << p;
+      EXPECT_TRUE(std::ranges::equal(g.matrix.values(), w.matrix.values()))
+          << "rank " << p;
+      EXPECT_EQ(g.ghost_gids, w.ghost_gids) << "rank " << p;
+      EXPECT_EQ(g.interior_rows, w.interior_rows) << "rank " << p;
+      EXPECT_EQ(g.boundary_rows, w.boundary_rows) << "rank " << p;
+    }
+  }
+  // Both indices count each rank's rows of G and of G^T.
+  EXPECT_EQ(serial.imbalance_g,
+            imbalance_index(rank_entry_counts(serial.final_pattern, l)));
+  EXPECT_EQ(serial.imbalance_gt,
+            imbalance_index(
+                rank_entry_counts(serial.final_pattern.transposed(), l)));
+  EXPECT_LT(serial.imbalance_gt, 1.0);
+  EXPECT_EQ(threaded.imbalance_g, serial.imbalance_g);
+  EXPECT_EQ(threaded.imbalance_gt, serial.imbalance_gt);
 }
 
 TEST(DriverTest, PartitionSystemProducesContiguousBalancedLayout) {

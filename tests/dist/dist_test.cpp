@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "dist/comm_scheme.hpp"
 #include "dist/dist_csr.hpp"
+#include "exec/exec_policy.hpp"
+#include "exec/executor.hpp"
 #include "exec/halo.hpp"
 #include "matgen/generators.hpp"
 #include "sparse/ops.hpp"
@@ -91,6 +95,49 @@ TEST(DistCsrTest, SendRecvMapsAreMirrored) {
         EXPECT_EQ(d.row_layout().owner(gid), nb.rank);
       }
     }
+  }
+}
+
+void expect_same_blocks(const DistCsr& got, const DistCsr& want) {
+  ASSERT_EQ(got.nranks(), want.nranks());
+  for (rank_t p = 0; p < want.nranks(); ++p) {
+    const RankBlock& g = got.block(p);
+    const RankBlock& w = want.block(p);
+    EXPECT_EQ(g.matrix.rows(), w.matrix.rows()) << "rank " << p;
+    EXPECT_EQ(g.matrix.cols(), w.matrix.cols()) << "rank " << p;
+    EXPECT_EQ(g.matrix.pattern(), w.matrix.pattern()) << "rank " << p;
+    EXPECT_TRUE(std::ranges::equal(g.matrix.values(), w.matrix.values()))
+        << "rank " << p;
+    EXPECT_EQ(g.ghost_gids, w.ghost_gids) << "rank " << p;
+    ASSERT_EQ(g.recv.size(), w.recv.size()) << "rank " << p;
+    for (std::size_t k = 0; k < w.recv.size(); ++k) {
+      EXPECT_EQ(g.recv[k].rank, w.recv[k].rank) << "rank " << p;
+      EXPECT_EQ(g.recv[k].gids, w.recv[k].gids) << "rank " << p;
+    }
+    ASSERT_EQ(g.send.size(), w.send.size()) << "rank " << p;
+    for (std::size_t k = 0; k < w.send.size(); ++k) {
+      EXPECT_EQ(g.send[k].rank, w.send[k].rank) << "rank " << p;
+      EXPECT_EQ(g.send[k].gids, w.send[k].gids) << "rank " << p;
+    }
+    EXPECT_EQ(g.local_entries, w.local_entries) << "rank " << p;
+    EXPECT_EQ(g.halo_entries, w.halo_entries) << "rank " << p;
+    EXPECT_EQ(g.interior_rows, w.interior_rows) << "rank " << p;
+    EXPECT_EQ(g.boundary_rows, w.boundary_rows) << "rank " << p;
+  }
+}
+
+TEST(DistCsrTest, ThreadedDistributeBuildsIdenticalBlocks) {
+  // Random couplings reach across every rank boundary; the layouts are
+  // uneven and outnumber the threads.
+  const auto a = random_spd(600, 6, 17);
+  const auto threaded = make_executor({.nthreads = 3});
+  SeqExecutor seq;
+  for (const Layout& layout :
+       {Layout::blocked(a.rows(), 7), Layout({0, 5, 250, 251, 420, 600})}) {
+    const DistCsr serial = DistCsr::distribute(a, layout);
+    expect_same_blocks(DistCsr::distribute(a, layout, {}, &seq), serial);
+    expect_same_blocks(DistCsr::distribute(a, layout, {}, threaded.get()),
+                       serial);
   }
 }
 

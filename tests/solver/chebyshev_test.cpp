@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "graph/level_schedule.hpp"
 #include "matgen/generators.hpp"
-#include "solver/ic0.hpp"
 #include "solver/pcg.hpp"
 #include "sparse/coo.hpp"
 
@@ -79,69 +77,6 @@ TEST(ChebyshevTest, RejectsBadSpectrumBounds) {
   EXPECT_THROW((ChebyshevPreconditioner{d, 0.0, 1.0, 3}), Error);
   EXPECT_THROW((ChebyshevPreconditioner{d, 2.0, 1.0, 3}), Error);
   EXPECT_THROW((ChebyshevPreconditioner{d, 0.1, 1.0, 0}), Error);
-}
-
-TEST(LevelScheduleTest, TridiagonalFactorIsFullySequential) {
-  // Bidiagonal L: row i depends on i-1 → n levels of one row each.
-  const index_t n = 10;
-  std::vector<std::vector<index_t>> rows(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    if (i > 0) rows[static_cast<std::size_t>(i)].push_back(i - 1);
-    rows[static_cast<std::size_t>(i)].push_back(i);
-  }
-  CsrMatrix l{SparsityPattern::from_rows(n, n, std::move(rows))};
-  const auto schedule = level_schedule(l);
-  EXPECT_EQ(schedule.depth(), n);
-  EXPECT_DOUBLE_EQ(schedule.average_parallelism(), 1.0);
-  EXPECT_DOUBLE_EQ(level_scheduled_speedup(schedule, 48), 1.0);
-}
-
-TEST(LevelScheduleTest, DiagonalFactorIsFullyParallel) {
-  const index_t n = 16;
-  std::vector<std::vector<index_t>> rows(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    rows[static_cast<std::size_t>(i)].push_back(i);
-  }
-  CsrMatrix l{SparsityPattern::from_rows(n, n, std::move(rows))};
-  const auto schedule = level_schedule(l);
-  EXPECT_EQ(schedule.depth(), 1);
-  EXPECT_DOUBLE_EQ(level_scheduled_speedup(schedule, 4), 4.0);
-}
-
-TEST(LevelScheduleTest, Ic0FactorDepthGrowsWithMeshSize) {
-  // The motivation number: IC(0) triangular-solve critical path grows with
-  // the mesh, while SpMV has depth 1 regardless.
-  index_t prev_depth = 0;
-  for (const index_t n : {8, 16, 32}) {
-    const auto a = poisson2d(n, n);
-    const auto l = ic0_factor(a);
-    const auto schedule = level_schedule(l);
-    EXPECT_GT(schedule.depth(), prev_depth) << "mesh " << n;
-    prev_depth = schedule.depth();
-  }
-  // 32x32 Poisson: the level depth exceeds any realistic core count's
-  // ability to hide it.
-  EXPECT_GE(prev_depth, 32);
-}
-
-TEST(LevelScheduleTest, LevelsArePrerequisiteClosed) {
-  const auto a = poisson2d(10, 10);
-  const auto l = ic0_factor(a);
-  const auto schedule = level_schedule(l);
-  for (index_t i = 0; i < l.rows(); ++i) {
-    for (index_t j : l.row_cols(i)) {
-      if (j < i) {
-        EXPECT_LT(schedule.level_of[static_cast<std::size_t>(j)],
-                  schedule.level_of[static_cast<std::size_t>(i)]);
-      }
-    }
-  }
-  // Level sizes sum to n.
-  std::size_t total = 0;
-  for (const auto& level : schedule.levels) {
-    total += level.size();
-  }
-  EXPECT_EQ(total, static_cast<std::size_t>(l.rows()));
 }
 
 }  // namespace
