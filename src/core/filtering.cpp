@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "exec/executor.hpp"
+
 namespace fsaic {
 
 namespace {
@@ -31,14 +33,34 @@ struct EntryClasses {
   std::vector<offset_t> kept;
 };
 
-/// One linear pass that merges each row of g_ext with its base row.
+/// f(p) for every rank p, ranks in parallel on `exec`.
+template <typename Fn>
+void for_each_rank(const Layout& layout, Executor& exec, Fn&& f) {
+  exec.parallel_for(layout.nranks(), [&](index_t p, int /*slot*/) {
+    f(static_cast<rank_t>(p));
+  });
+}
+
+/// g_ext's diagonal (0 where absent), row-parallel.
+std::vector<value_t> diagonal_of(const CsrMatrix& g_ext, Executor& exec) {
+  FSAIC_REQUIRE(g_ext.rows() == g_ext.cols(), "diagonal requires a square matrix");
+  std::vector<value_t> diag(static_cast<std::size_t>(g_ext.rows()));
+  exec.parallel_for(g_ext.rows(), [&](index_t i, int /*slot*/) {
+    diag[static_cast<std::size_t>(i)] = g_ext.at(i, i);
+  });
+  return diag;
+}
+
+/// One linear pass per rank that merges each row of g_ext with its base
+/// row.
 EntryClasses classify(const CsrMatrix& g_ext, const SparsityPattern& base,
-                      const Layout& layout, const FilterOptions& options) {
+                      const Layout& layout, const FilterOptions& options,
+                      Executor& exec) {
   EntryClasses c;
   c.droppable.assign(static_cast<std::size_t>(g_ext.nnz()), 0);
   c.kept.assign(static_cast<std::size_t>(layout.nranks()), 0);
   const auto row_ptr = g_ext.row_ptr();
-  for (rank_t p = 0; p < layout.nranks(); ++p) {
+  for_each_rank(layout, exec, [&](rank_t p) {
     offset_t kept = 0;
     for (index_t i = layout.begin(p); i < layout.end(p); ++i) {
       const auto cols = g_ext.row_cols(i);
@@ -57,7 +79,7 @@ EntryClasses classify(const CsrMatrix& g_ext, const SparsityPattern& base,
       }
     }
     c.kept[static_cast<std::size_t>(p)] = kept;
-  }
+  });
   return c;
 }
 
@@ -111,7 +133,8 @@ value_t survival_threshold(value_t mag, value_t scale) {
 /// rank is counted by a linear pass over its droppable entries, remembered
 /// for the filter last asked, until it first bisects. Then its droppable
 /// entries' survival thresholds are sorted once, and every later count is a
-/// binary search in that order.
+/// binary search in that order. Each rank's state is its own, so distinct
+/// ranks may be counted concurrently.
 class SurvivorCounter {
  public:
   SurvivorCounter(const CsrMatrix& g_ext, const EntryClasses& classes,
@@ -181,35 +204,51 @@ class SurvivorCounter {
   std::vector<RankState> ranks_;
 };
 
-/// Assemble the surviving pattern given per-rank filters.
-FilterOutcome assemble(const CsrMatrix& g_ext, const EntryClasses& classes,
+/// Assemble the surviving pattern given per-rank filters, rank by rank: a
+/// count pass decides every droppable entry (turning classes.droppable into
+/// the drop decision) and sizes the rows, a fill pass writes the kept
+/// entries in place.
+FilterOutcome assemble(const CsrMatrix& g_ext, EntryClasses& classes,
                        const Layout& layout, std::vector<value_t> rank_filter,
-                       std::span<const value_t> diag) {
+                       std::span<const value_t> diag, Executor& exec) {
   const index_t n = g_ext.rows();
   const auto g_row_ptr = g_ext.row_ptr();
   std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> col_idx;
-  col_idx.reserve(static_cast<std::size_t>(g_ext.nnz()));
   FilterOutcome out;
   out.rank_entries.assign(static_cast<std::size_t>(layout.nranks()), 0);
-  for (rank_t p = 0; p < layout.nranks(); ++p) {
+  for_each_rank(layout, exec, [&](rank_t p) {
     const value_t f = rank_filter[static_cast<std::size_t>(p)];
+    offset_t entries = 0;
     for (index_t i = layout.begin(p); i < layout.end(p); ++i) {
       const auto cols = g_ext.row_cols(i);
       const auto vals = g_ext.row_vals(i);
       const auto k0 = static_cast<std::size_t>(g_row_ptr[static_cast<std::size_t>(i)]);
+      offset_t len = 0;
       for (std::size_t k = 0; k < cols.size(); ++k) {
-        if (classes.droppable[k0 + k] == 0 ||
-            survives(std::abs(vals[k]), entry_scale(diag, i, cols[k]), f)) {
-          col_idx.push_back(cols[k]);
-        }
+        std::uint8_t& drop = classes.droppable[k0 + k];
+        drop = drop != 0 &&
+               !survives(std::abs(vals[k]), entry_scale(diag, i, cols[k]), f);
+        if (drop == 0) ++len;
       }
-      row_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(col_idx.size());
+      row_ptr[static_cast<std::size_t>(i) + 1] = len;
+      entries += len;
     }
-    out.rank_entries[static_cast<std::size_t>(p)] =
-        row_ptr[static_cast<std::size_t>(layout.end(p))] -
-        row_ptr[static_cast<std::size_t>(layout.begin(p))];
+    out.rank_entries[static_cast<std::size_t>(p)] = entries;
+  });
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+    row_ptr[i + 1] += row_ptr[i];
   }
+  std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  for_each_rank(layout, exec, [&](rank_t p) {
+    for (index_t i = layout.begin(p); i < layout.end(p); ++i) {
+      const auto cols = g_ext.row_cols(i);
+      const auto k0 = static_cast<std::size_t>(g_row_ptr[static_cast<std::size_t>(i)]);
+      auto pos = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)]);
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        if (classes.droppable[k0 + k] == 0) col_idx[pos++] = cols[k];
+      }
+    }
+  });
   out.pattern = SparsityPattern(n, n, std::move(row_ptr), std::move(col_idx));
   out.rank_filter = std::move(rank_filter);
   return out;
@@ -218,58 +257,62 @@ FilterOutcome assemble(const CsrMatrix& g_ext, const EntryClasses& classes,
 }  // namespace
 
 FilterOutcome static_filter(const CsrMatrix& g_ext, const SparsityPattern& base,
-                            const Layout& layout, const FilterOptions& options) {
+                            const Layout& layout, const FilterOptions& options,
+                            Executor* exec) {
   FSAIC_REQUIRE(g_ext.rows() == layout.global_size(), "layout mismatch");
-  const auto diag = g_ext.diagonal();
+  Executor& ex = resolve_executor(exec);
+  const auto diag = diagonal_of(g_ext, ex);
+  EntryClasses classes = classify(g_ext, base, layout, options, ex);
   std::vector<value_t> filters(static_cast<std::size_t>(layout.nranks()),
                                options.filter);
-  return assemble(g_ext, classify(g_ext, base, layout, options), layout,
-                  std::move(filters), diag);
+  return assemble(g_ext, classes, layout, std::move(filters), diag, ex);
 }
 
 FilterOutcome dynamic_filter(const CsrMatrix& g_ext, const SparsityPattern& base,
                              const Layout& layout, const FilterOptions& options,
-                             CommStats* stats) {
+                             CommStats* stats, Executor* exec) {
   FSAIC_REQUIRE(g_ext.rows() == layout.global_size(), "layout mismatch");
-  const auto diag = g_ext.diagonal();
-  const EntryClasses classes = classify(g_ext, base, layout, options);
+  Executor& ex = resolve_executor(exec);
+  const auto diag = diagonal_of(g_ext, ex);
+  EntryClasses classes = classify(g_ext, base, layout, options, ex);
   SurvivorCounter counter(g_ext, classes, layout, diag);
   const rank_t nranks = layout.nranks();
   std::vector<value_t> filters(static_cast<std::size_t>(nranks), options.filter);
   std::vector<offset_t> counts(static_cast<std::size_t>(nranks), 0);
-  int bisections = 0;
+  // Per rank: bisection steps taken, and whether it was overloaded this
+  // round. Each rank writes only its own slots.
+  std::vector<int> bisections(static_cast<std::size_t>(nranks), 0);
+  std::vector<std::uint8_t> overloaded(static_cast<std::size_t>(nranks), 0);
 
   for (int round = 0; round < options.rebalance_rounds; ++round) {
     // Each process computes its share, then the totals are exchanged with
     // one allreduce (Algorithm 4 line 3).
-    offset_t total = 0;
-    for (rank_t p = 0; p < nranks; ++p) {
+    for_each_rank(layout, ex, [&](rank_t p) {
       counts[static_cast<std::size_t>(p)] =
           counter.count(p, filters[static_cast<std::size_t>(p)]);
-      total += counts[static_cast<std::size_t>(p)];
-    }
+    });
+    offset_t total = 0;
+    for (const offset_t c : counts) total += c;
     if (stats != nullptr) stats->record_allreduce(sizeof(offset_t));
 
     const double avg = static_cast<double>(total) / static_cast<double>(nranks);
     const double target_hi = avg * (1.0 + options.imbalance_tolerance);
-    bool any_overloaded = false;
 
-    for (rank_t p = 0; p < nranks; ++p) {
-      if (static_cast<double>(counts[static_cast<std::size_t>(p)]) <= target_hi) {
-        continue;
-      }
-      any_overloaded = true;
+    // Every overloaded process searches its own filter.
+    for_each_rank(layout, ex, [&](rank_t p) {
+      const auto ps = static_cast<std::size_t>(p);
+      overloaded[ps] = static_cast<double>(counts[ps]) > target_hi;
+      if (overloaded[ps] == 0) return;
       counter.sort_thresholds(p);
       // Doubling phase (Algorithm 4 line 8): grow the filter until the
       // process's share is at or below the tolerated maximum.
-      value_t lo = filters[static_cast<std::size_t>(p)];
+      value_t lo = filters[ps];
       value_t hi = lo > 0.0 ? lo : 1e-8;
       int steps = 0;
-      offset_t hi_count = counts[static_cast<std::size_t>(p)];
+      offset_t hi_count = counts[ps];
       while (steps < options.max_bisection_steps) {
         hi *= 2.0;
         ++steps;
-        ++bisections;
         hi_count = counter.count(p, hi);
         if (static_cast<double>(hi_count) <= target_hi) break;
       }
@@ -279,7 +322,6 @@ FilterOutcome dynamic_filter(const CsrMatrix& g_ext, const SparsityPattern& base
       while (steps < options.max_bisection_steps && hi - lo > 1e-12 * hi) {
         const value_t mid = 0.5 * (lo + hi);
         ++steps;
-        ++bisections;
         const offset_t mid_count = counter.count(p, mid);
         if (static_cast<double>(mid_count) <= target_hi) {
           hi = mid;
@@ -288,14 +330,19 @@ FilterOutcome dynamic_filter(const CsrMatrix& g_ext, const SparsityPattern& base
           lo = mid;
         }
       }
-      filters[static_cast<std::size_t>(p)] = hi;
-      counts[static_cast<std::size_t>(p)] = hi_count;
+      filters[ps] = hi;
+      counts[ps] = hi_count;
+      bisections[ps] += steps;
+    });
+    if (std::none_of(overloaded.begin(), overloaded.end(),
+                     [](std::uint8_t o) { return o != 0; })) {
+      break;
     }
-    if (!any_overloaded) break;
   }
 
-  FilterOutcome out = assemble(g_ext, classes, layout, std::move(filters), diag);
-  out.bisection_iterations = bisections;
+  FilterOutcome out =
+      assemble(g_ext, classes, layout, std::move(filters), diag, ex);
+  for (const int b : bisections) out.bisection_iterations += b;
   return out;
 }
 

@@ -22,6 +22,8 @@
 
 namespace fsaic {
 
+class Executor;
+
 struct FilterOptions {
   /// Base Filter value (the paper sweeps 0.01 / 0.05 / 0.1 / 0.2).
   value_t filter = 0.0;
@@ -49,19 +51,27 @@ struct FilterOutcome {
 
 /// Static filtering: drop small candidates of `g_ext` (entries outside
 /// `base` when only_added_entries) using options.filter on every rank.
+/// Ranks classify and assemble their rows in parallel on `exec` (null ->
+/// the process-wide default executor); the outcome is the same for every
+/// executor and thread count.
 [[nodiscard]] FilterOutcome static_filter(const CsrMatrix& g_ext,
                                           const SparsityPattern& base,
                                           const Layout& layout,
-                                          const FilterOptions& options);
+                                          const FilterOptions& options,
+                                          Executor* exec = nullptr);
 
 /// Dynamic filtering (Algorithm 4): start every rank at options.filter and
 /// raise it on overloaded ranks until per-rank entry counts are balanced.
-/// The allreduce per round is recorded into `stats` when non-null.
+/// The allreduce per round is recorded into `stats` when non-null. Ranks
+/// count, search their filters and assemble in parallel on `exec` (null ->
+/// the process-wide default executor), with the same filter sequence and
+/// outcome for every executor and thread count.
 [[nodiscard]] FilterOutcome dynamic_filter(const CsrMatrix& g_ext,
                                            const SparsityPattern& base,
                                            const Layout& layout,
                                            const FilterOptions& options,
-                                           CommStats* stats = nullptr);
+                                           CommStats* stats = nullptr,
+                                           Executor* exec = nullptr);
 
 /// Imbalance index as defined in Section 5.3.3: average process entries over
 /// maximum process entries (1 = balanced, smaller = worse).

@@ -1,5 +1,6 @@
 #include "core/fsai_driver.hpp"
 
+#include "exec/executor.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "sparse/ops.hpp"
@@ -16,48 +17,52 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
                 "layout must cover the matrix rows");
   FsaiBuildResult result;
   TraceRecorder* const trace = options.trace;
+  Executor& exec = resolve_executor(options.exec);
 
   // Steps 1-2: a-priori pattern.
   {
     ScopedPhase phase(trace, "pattern_build", "setup");
-    result.base_pattern =
-        fsai_base_pattern(a, options.sparsity_level, options.prefilter_threshold);
+    result.base_pattern = fsai_base_pattern(a, options.sparsity_level,
+                                            options.prefilter_threshold, &exec);
   }
 
   // Step 3: cache-line extension.
   {
     ScopedPhase phase(trace, "pattern_extension", "setup");
-    ExtensionResult ext = extend_pattern(result.base_pattern, layout,
-                                         options.cache_line_bytes, options.extension);
+    ExtensionResult ext =
+        extend_pattern(result.base_pattern, layout, options.cache_line_bytes,
+                       options.extension, &exec);
     result.extended_pattern = std::move(ext.extended);
   }
 
   // Step 4: provisional values + filtering of added entries.
-  const FsaiComputeOptions copts{options.exec};
-  CsrMatrix g_pre;
+  const FsaiComputeOptions copts{&exec};
   const bool filtering_active =
       options.filter > 0.0 && result.extended_pattern.nnz() > result.base_pattern.nnz();
-  {
-    ScopedPhase phase(trace, "filtering", "setup");
-    if (filtering_active) {
+  CsrMatrix g_pre;
+  if (filtering_active) {
+    {
+      ScopedPhase phase(trace, "provisional_factor", "setup");
       g_pre = compute_fsai_factor(a, result.extended_pattern,
                                   &result.provisional_factor_stats, copts);
-      FilterOptions fopts;
-      fopts.filter = options.filter;
-      fopts.only_added_entries = options.filter_only_added;
-      FilterOutcome outcome =
-          options.filter_strategy == FilterStrategy::Static
-              ? static_filter(g_pre, result.base_pattern, layout, fopts)
-              : dynamic_filter(g_pre, result.base_pattern, layout, fopts,
-                               &result.setup_comm);
-      result.final_pattern = std::move(outcome.pattern);
-      result.rank_filter = std::move(outcome.rank_filter);
-      result.dynamic_bisection_iterations = outcome.bisection_iterations;
-    } else {
-      result.final_pattern = result.extended_pattern;
-      result.rank_filter.assign(static_cast<std::size_t>(layout.nranks()),
-                                options.filter);
     }
+    ScopedPhase phase(trace, "filtering", "setup");
+    FilterOptions fopts;
+    fopts.filter = options.filter;
+    fopts.only_added_entries = options.filter_only_added;
+    FilterOutcome outcome =
+        options.filter_strategy == FilterStrategy::Static
+            ? static_filter(g_pre, result.base_pattern, layout, fopts, &exec)
+            : dynamic_filter(g_pre, result.base_pattern, layout, fopts,
+                             &result.setup_comm, &exec);
+    result.final_pattern = std::move(outcome.pattern);
+    result.rank_filter = std::move(outcome.rank_filter);
+    result.dynamic_bisection_iterations = outcome.bisection_iterations;
+  } else {
+    ScopedPhase phase(trace, "filtering", "setup");
+    result.final_pattern = result.extended_pattern;
+    result.rank_filter.assign(static_cast<std::size_t>(layout.nranks()),
+                              options.filter);
   }
 
   // Step 5: recompute values on the surviving pattern. When a provisional
@@ -72,20 +77,20 @@ FsaiBuildResult build_fsai_preconditioner(const CsrMatrix& a, const Layout& layo
                    : compute_fsai_factor(a, result.final_pattern,
                                          &result.factor_stats, copts);
   }
+  g_pre = CsrMatrix{};  // release the provisional factor before distributing
 
   result.nnz_increase_pct =
       100.0 *
       static_cast<double>(result.final_pattern.nnz() - result.base_pattern.nnz()) /
       static_cast<double>(result.base_pattern.nnz());
 
-  // Distribute G and G^T for the solver, and measure load balance of both.
-  // Distribution and the transpose keep every entry, so each rank's block
-  // holds exactly its rows' entries of G and of G^T.
+  // Distribute G, and build G^T's rank blocks from G's; measure the load
+  // balance of both. Both keep every entry, so each rank's block holds
+  // exactly its rows' entries of G and of G^T.
   {
     ScopedPhase phase(trace, "distribute_factors", "setup");
-    result.g_dist = DistCsr::distribute(result.g, layout, {}, options.exec);
-    result.gt_dist =
-        DistCsr::distribute(transpose(result.g), layout, {}, options.exec);
+    result.g_dist = DistCsr::distribute(result.g, layout, {}, &exec);
+    result.gt_dist = result.g_dist.transposed(&exec);
   }
   std::vector<offset_t> g_counts(static_cast<std::size_t>(layout.nranks()));
   std::vector<offset_t> gt_counts(g_counts.size());

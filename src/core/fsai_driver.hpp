@@ -7,7 +7,8 @@
 //   3. G_pre           = FSAI values on S_ext                       (Alg. 2 s.4)
 //   4. S_f             = static or dynamic filtering of G_pre       (Alg. 2/4)
 //   5. G               = FSAI values recomputed on S_f              (Alg. 2 s.5)
-// and the distributed factors G, G^T are assembled for the PCG.
+// and the distributed factors G, G^T are assembled for the PCG, G^T from
+// G's rank blocks. Every stage runs on FsaiOptions::exec.
 #pragma once
 
 #include <memory>
@@ -40,12 +41,14 @@ struct FsaiOptions {
   FilterStrategy filter_strategy = FilterStrategy::Static;
   /// Protect original-pattern entries from the filter (Alg. 2 semantics).
   bool filter_only_added = true;
-  /// Setup row-loop engine (null -> the process-wide default executor).
-  /// When non-null it also builds the rank blocks of the distributed G and
-  /// G^T; null distributes them serially on the calling thread.
+  /// Engine of every set-up stage: the base pattern, the extension, the
+  /// provisional and final row solves, the filter and the rank blocks of
+  /// the distributed G and G^T (null -> the process-wide default executor).
+  /// The build is bit-identical for every executor and thread count.
   Executor* exec = nullptr;
   /// Optional phase tracer (borrowed): the build emits the setup phases
-  /// pattern_build / pattern_extension / filtering / factorization.
+  /// pattern_build / pattern_extension / provisional_factor (only when
+  /// filtering runs) / filtering / factorization / distribute_factors.
   TraceRecorder* trace = nullptr;
 };
 
@@ -93,7 +96,9 @@ struct FsaiBuildResult {
                                                         const Layout& layout,
                                                         const FsaiOptions& options);
 
-/// Wrap a build result into the z = G^T (G r) preconditioner.
+/// Wrap a build result into the z = G^T (G r) preconditioner. The
+/// preconditioner's G and G^T share the build's rank blocks (DistCsr copies
+/// share their immutable blocks).
 [[nodiscard]] std::unique_ptr<FactorizedPreconditioner> make_factorized_preconditioner(
     const FsaiBuildResult& build, const std::string& label);
 

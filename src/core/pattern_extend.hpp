@@ -11,6 +11,11 @@
 //   * owner(k) must already receive x_i under the scheme of  G^T x (S^T),
 //
 // so that neither product's halo exchange grows by a single coefficient.
+// Both conditions read only rank-local data (docs/algorithms.md): owner(i)
+// receives x_k exactly when k is a ghost column of its own base rows, and
+// owner(k) receives x_i exactly when base row i has a column owner(k) owns.
+// So each rank extends its own rows independently, as in the paper, where
+// every MPI process runs Algorithm 3 for its rows.
 // The FullHalo mode deliberately drops that rule — it is the naive strawman
 // the benches use to show why communication awareness matters.
 #pragma once
@@ -19,6 +24,8 @@
 #include "sparse/pattern.hpp"
 
 namespace fsaic {
+
+class Executor;
 
 enum class ExtensionMode {
   None,       ///< plain FSAI: no extension
@@ -43,9 +50,13 @@ struct ExtensionResult {
 /// `cache_line_bytes` must be a multiple of sizeof(value_t); the x vector is
 /// assumed line-aligned, so the line of x_j covers columns
 /// [j - j % L, j - j % L + L) with L = cache_line_bytes / sizeof(value_t).
+/// Ranks extend their rows in parallel on `exec` (null -> the process-wide
+/// default executor); the result is the same for every executor and thread
+/// count.
 [[nodiscard]] ExtensionResult extend_pattern(const SparsityPattern& s,
                                              const Layout& layout,
                                              int cache_line_bytes,
-                                             ExtensionMode mode);
+                                             ExtensionMode mode,
+                                             Executor* exec = nullptr);
 
 }  // namespace fsaic

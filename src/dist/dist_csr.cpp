@@ -7,7 +7,6 @@
 #include "exec/executor.hpp"
 #include "exec/halo.hpp"
 #include "obs/trace.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/vector_ops.hpp"
 
@@ -74,56 +73,65 @@ struct RowView {
 };
 
 /// Build rank p's RankBlock from its rows of the conceptual global matrix
-/// (`row(li)` yields local row li with GLOBAL column ids). This is the one
-/// remapping code path shared by distribute() and from_rank_local(), so
-/// both produce bit-identical blocks from the same rows. Pure per-rank
+/// (`row(li)` yields local row li with GLOBAL column ids, sorted). This is
+/// the one remapping code path shared by distribute() and from_rank_local(),
+/// so both produce bit-identical blocks from the same rows. Pure per-rank
 /// work — safe to run for distinct ranks concurrently.
 template <typename RowFn>
 void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
                       RankBlock& blk) {
   const index_t row0 = layout.begin(p);
+  const index_t row1 = layout.end(p);
   const index_t nloc = layout.local_size(p);
 
-  // Pass 1: collect ghost column ids.
+  // Pass 1: collect ghost column ids and size the rows.
   std::vector<index_t> ghosts;
+  std::vector<offset_t> row_ptr(static_cast<std::size_t>(nloc) + 1, 0);
   for (index_t li = 0; li < nloc; ++li) {
-    for (index_t j : row(li).cols) {
-      if (!layout.owns(p, j)) ghosts.push_back(j);
+    const auto cols = row(li).cols;
+    for (index_t j : cols) {
+      if (j < row0 || j >= row1) ghosts.push_back(j);
     }
+    row_ptr[static_cast<std::size_t>(li) + 1] =
+        row_ptr[static_cast<std::size_t>(li)] + static_cast<offset_t>(cols.size());
   }
   std::sort(ghosts.begin(), ghosts.end());
   ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
   blk.ghost_gids = ghosts;
 
-  // Pass 2: build the local CSR with remapped columns.
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(nloc) + 1, 0);
-  std::vector<index_t> col_idx;
-  std::vector<value_t> values;
-  // Owned columns keep relative order; ghosts are appended per row then the
-  // row is re-sorted by the remapped index so CSR invariants hold.
-  std::vector<std::pair<index_t, value_t>> entries;
+  // Pass 2: write the local CSR with remapped columns in place. A sorted
+  // global row is three runs: ghosts below row0, owned columns, ghosts at
+  // or above row1. Local order puts the owned run (local ids 0..nloc)
+  // first, then the ghosts by ascending gid, so the row is already sorted
+  // as owned run, lower ghost run, upper ghost run.
+  std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<value_t> values(col_idx.size());
+  const auto ghost_index = [&](index_t j) {
+    return nloc + static_cast<index_t>(
+                      std::lower_bound(ghosts.begin(), ghosts.end(), j) -
+                      ghosts.begin());
+  };
   for (index_t li = 0; li < nloc; ++li) {
     const RowView rv = row(li);
-    entries.clear();
-    for (std::size_t k = 0; k < rv.cols.size(); ++k) {
-      const index_t j = rv.cols[k];
-      index_t lj;
-      if (layout.owns(p, j)) {
-        lj = j - row0;
-        ++blk.local_entries;
-      } else {
-        const auto it = std::lower_bound(ghosts.begin(), ghosts.end(), j);
-        lj = nloc + static_cast<index_t>(it - ghosts.begin());
-        ++blk.halo_entries;
-      }
-      entries.emplace_back(lj, rv.vals[k]);
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(rv.cols.begin(), rv.cols.end(), row0) - rv.cols.begin());
+    const auto hi = static_cast<std::size_t>(
+        std::lower_bound(rv.cols.begin() + static_cast<std::ptrdiff_t>(lo),
+                         rv.cols.end(), row1) -
+        rv.cols.begin());
+    auto pos = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(li)]);
+    const auto put = [&](std::size_t k, index_t lj) {
+      col_idx[pos] = lj;
+      values[pos] = rv.vals[k];
+      ++pos;
+    };
+    for (std::size_t k = lo; k < hi; ++k) put(k, rv.cols[k] - row0);
+    for (std::size_t k = 0; k < lo; ++k) put(k, ghost_index(rv.cols[k]));
+    for (std::size_t k = hi; k < rv.cols.size(); ++k) {
+      put(k, ghost_index(rv.cols[k]));
     }
-    std::sort(entries.begin(), entries.end());
-    for (const auto& [lj, v] : entries) {
-      col_idx.push_back(lj);
-      values.push_back(v);
-    }
-    row_ptr[static_cast<std::size_t>(li) + 1] = static_cast<offset_t>(col_idx.size());
+    blk.local_entries += static_cast<offset_t>(hi - lo);
+    blk.halo_entries += static_cast<offset_t>(rv.cols.size() - (hi - lo));
   }
   blk.matrix = CsrMatrix(nloc, nloc + static_cast<index_t>(ghosts.size()),
                          std::move(row_ptr), std::move(col_idx),
@@ -133,10 +141,9 @@ void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
   // boundary iff it touches any ghost column.
   for (index_t li = 0; li < nloc; ++li) {
     const auto cols = blk.matrix.row_cols(li);
-    const bool boundary =
-        std::any_of(cols.begin(), cols.end(),
-                    [nloc](index_t c) { return c >= nloc; });
-    (boundary ? blk.boundary_rows : blk.interior_rows).push_back(li);
+    (!cols.empty() && cols.back() >= nloc ? blk.boundary_rows
+                                          : blk.interior_rows)
+        .push_back(li);
   }
 
   // Recv map: ghosts grouped by owning rank (ascending rank, sorted gids —
@@ -153,6 +160,163 @@ void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
   }
 }
 
+/// f(p) for every rank: through exec's parallel_for when non-null, else in
+/// a plain loop on the calling thread.
+template <typename Fn>
+void for_each_rank(rank_t nranks, Executor* exec, Fn&& f) {
+  if (exec != nullptr) {
+    exec->parallel_for(static_cast<index_t>(nranks),
+                       [&](index_t p, int /*slot*/) { f(static_cast<rank_t>(p)); });
+  } else {
+    for (rank_t p = 0; p < nranks; ++p) f(p);
+  }
+}
+
+/// emit(gid, value) for every entry of block row li, in ascending global
+/// column order: the row's owned run (gid = row0 + c) merged with its ghost
+/// run (ascending ghost_gids). Sorting by local index put every owned
+/// column before every ghost, so each run is already sorted.
+template <typename Emit>
+void for_each_global_entry(const RankBlock& blk, index_t row0, index_t li,
+                           Emit&& emit) {
+  constexpr index_t kDone = std::numeric_limits<index_t>::max();
+  const index_t nloc = blk.matrix.rows();
+  const auto cols = blk.matrix.row_cols(li);
+  const auto vals = blk.matrix.row_vals(li);
+  const auto split = static_cast<std::size_t>(
+      std::lower_bound(cols.begin(), cols.end(), nloc) - cols.begin());
+  std::size_t il = 0;
+  std::size_t ig = split;
+  while (il < split || ig < cols.size()) {
+    const index_t gl = il < split ? row0 + cols[il] : kDone;
+    const index_t gg =
+        ig < cols.size() ? blk.ghost_gids[static_cast<std::size_t>(cols[ig] - nloc)]
+                         : kDone;
+    if (gl < gg) {
+      emit(gl, vals[il]);
+      ++il;
+    } else {
+      emit(gg, vals[ig]);
+      ++ig;
+    }
+  }
+}
+
+/// Rank q's block of the transpose of the matrix whose finished blocks
+/// (send maps included) are `src`. Row r of q's block collects column i of
+/// every row i that has an entry in column row0 + r: q's own rows give the
+/// owned columns, in ascending row order; the boundary rows of each rank p
+/// that q sends to give the ghost columns, ascending by p and then by row,
+/// which is ascending gid. So every row comes out sorted by local column
+/// index, ghosts and recv maps come out sorted, and the block equals
+/// build_rank_block's of the transposed global rows. Count pass, then fill
+/// pass, straight into the CSR arrays.
+void build_transpose_block(const Layout& layout, std::span<const RankBlock> src,
+                           rank_t q, RankBlock& blk) {
+  const index_t row0 = layout.begin(q);
+  const index_t nloc = layout.local_size(q);
+  const RankBlock& own = src[static_cast<std::size_t>(q)];
+
+  // In the block of a rank p that q sends to, the ghost columns q owns are
+  // one contiguous local column range (ghosts are sorted by gid and q owns
+  // a contiguous gid range).
+  struct Source {
+    rank_t p;
+    index_t col_lo;
+    index_t col_hi;
+  };
+  std::vector<Source> sources;
+  sources.reserve(own.send.size());
+  for (const auto& nb : own.send) {
+    const RankBlock& pb = src[static_cast<std::size_t>(nb.rank)];
+    const index_t pnloc = pb.matrix.rows();
+    const auto lo =
+        std::lower_bound(pb.ghost_gids.begin(), pb.ghost_gids.end(), row0);
+    sources.push_back(
+        {nb.rank, pnloc + static_cast<index_t>(lo - pb.ghost_gids.begin()),
+         pnloc + static_cast<index_t>(lo - pb.ghost_gids.begin()) +
+             static_cast<index_t>(nb.gids.size())});
+  }
+  // emit(row r of the transpose, column of p's block, value) for the
+  // entries of p's boundary row lr that q owns.
+  const auto for_each_q_entry = [&](const Source& s, index_t lr, auto&& emit) {
+    const RankBlock& pb = src[static_cast<std::size_t>(s.p)];
+    const index_t pnloc = pb.matrix.rows();
+    const auto cols = pb.matrix.row_cols(lr);
+    const auto vals = pb.matrix.row_vals(lr);
+    const auto b = std::lower_bound(cols.begin(), cols.end(), s.col_lo);
+    const auto e = std::lower_bound(b, cols.end(), s.col_hi);
+    for (auto it = b; it != e; ++it) {
+      const auto k = static_cast<std::size_t>(it - cols.begin());
+      emit(pb.ghost_gids[static_cast<std::size_t>(cols[k] - pnloc)] - row0,
+           vals[k]);
+    }
+    return b != e;
+  };
+
+  // Count pass.
+  std::vector<offset_t> row_ptr(static_cast<std::size_t>(nloc) + 1, 0);
+  for (index_t li = 0; li < nloc; ++li) {
+    for (const index_t c : own.matrix.row_cols(li)) {
+      if (c >= nloc) break;
+      ++row_ptr[static_cast<std::size_t>(c) + 1];
+    }
+  }
+  for (const Source& s : sources) {
+    for (const index_t lr : src[static_cast<std::size_t>(s.p)].boundary_rows) {
+      for_each_q_entry(s, lr, [&](index_t r, value_t) {
+        ++row_ptr[static_cast<std::size_t>(r) + 1];
+      });
+    }
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(nloc); ++r) {
+    row_ptr[r + 1] += row_ptr[r];
+  }
+
+  // Fill pass: owned columns first, then ghosts in ascending gid.
+  std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<value_t> values(col_idx.size());
+  std::vector<offset_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  const auto put = [&](index_t r, index_t col, value_t v) {
+    const auto at = static_cast<std::size_t>(cursor[static_cast<std::size_t>(r)]++);
+    col_idx[at] = col;
+    values[at] = v;
+  };
+  for (index_t li = 0; li < nloc; ++li) {
+    const auto cols = own.matrix.row_cols(li);
+    const auto vals = own.matrix.row_vals(li);
+    for (std::size_t k = 0; k < cols.size() && cols[k] < nloc; ++k) {
+      put(cols[k], li, vals[k]);
+      ++blk.local_entries;
+    }
+  }
+  for (const Source& s : sources) {
+    const index_t prow0 = layout.begin(s.p);
+    for (const index_t lr : src[static_cast<std::size_t>(s.p)].boundary_rows) {
+      const auto ghost = nloc + static_cast<index_t>(blk.ghost_gids.size());
+      const bool touched = for_each_q_entry(s, lr, [&](index_t r, value_t v) {
+        put(r, ghost, v);
+        ++blk.halo_entries;
+      });
+      if (!touched) continue;
+      blk.ghost_gids.push_back(prow0 + lr);
+      if (blk.recv.empty() || blk.recv.back().rank != s.p) {
+        blk.recv.push_back({s.p, {}});
+      }
+      blk.recv.back().gids.push_back(prow0 + lr);
+    }
+  }
+  blk.matrix = CsrMatrix(nloc, nloc + static_cast<index_t>(blk.ghost_gids.size()),
+                         std::move(row_ptr), std::move(col_idx),
+                         std::move(values));
+  for (index_t r = 0; r < nloc; ++r) {
+    const auto cols = blk.matrix.row_cols(r);
+    (!cols.empty() && cols.back() >= nloc ? blk.boundary_rows
+                                          : blk.interior_rows)
+        .push_back(r);
+  }
+}
+
 }  // namespace
 
 DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
@@ -164,25 +328,17 @@ DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
   DistCsr d;
   d.row_layout_ = layout;
   d.col_layout_ = layout;
-  d.blocks_.resize(static_cast<std::size_t>(layout.nranks()));
-
-  const auto build = [&](index_t pi, int /*slot*/) {
-    const auto p = static_cast<rank_t>(pi);
+  std::vector<RankBlock> blocks(static_cast<std::size_t>(layout.nranks()));
+  for_each_rank(layout.nranks(), exec, [&](rank_t p) {
     const index_t row0 = layout.begin(p);
     build_rank_block(
         layout, p,
         [&](index_t li) {
           return RowView{global.row_cols(row0 + li), global.row_vals(row0 + li)};
         },
-        d.blocks_[static_cast<std::size_t>(p)]);
-  };
-  if (exec != nullptr) {
-    exec->parallel_for(static_cast<index_t>(layout.nranks()), build);
-  } else {
-    for (rank_t p = 0; p < layout.nranks(); ++p) build(p, 0);
-  }
-
-  d.finish_build(comm);
+        blocks[static_cast<std::size_t>(p)]);
+  });
+  d.finish_build(std::move(blocks), comm);
   return d;
 }
 
@@ -192,7 +348,7 @@ DistCsr DistCsr::from_rank_local(
   DistCsr d;
   d.row_layout_ = layout;
   d.col_layout_ = layout;
-  d.blocks_.resize(static_cast<std::size_t>(layout.nranks()));
+  std::vector<RankBlock> blocks(static_cast<std::size_t>(layout.nranks()));
 
   // Each rank's block is a pure function of its generated rows; build them
   // in parallel. Exceptions (e.g. a generator handing back malformed rows)
@@ -214,9 +370,17 @@ DistCsr DistCsr::from_rank_local(
           FSAIC_REQUIRE(
               rows.col_gids.size() == nnz && rows.values.size() == nnz,
               "rank rows arrays disagree with row_ptr");
-          for (const index_t j : rows.col_gids) {
-            FSAIC_REQUIRE(j >= 0 && j < layout.global_size(),
-                          "rank rows column id out of range");
+          for (std::size_t li = 0; li < static_cast<std::size_t>(nloc); ++li) {
+            const auto b = static_cast<std::size_t>(rows.row_ptr[li]);
+            const auto e = static_cast<std::size_t>(rows.row_ptr[li + 1]);
+            FSAIC_REQUIRE(b <= e, "rank rows row_ptr must be non-decreasing");
+            for (std::size_t k = b; k < e; ++k) {
+              const index_t j = rows.col_gids[k];
+              FSAIC_REQUIRE(j >= 0 && j < layout.global_size(),
+                            "rank rows column id out of range");
+              FSAIC_REQUIRE(k == b || rows.col_gids[k - 1] < j,
+                            "rank rows columns must be sorted and unique");
+            }
           }
           build_rank_block(
               layout, p,
@@ -229,7 +393,7 @@ DistCsr DistCsr::from_rank_local(
                     std::span<const index_t>(rows.col_gids).subspan(b, e - b),
                     std::span<const value_t>(rows.values).subspan(b, e - b)};
               },
-              d.blocks_[static_cast<std::size_t>(p)]);
+              blocks[static_cast<std::size_t>(p)]);
         } catch (...) {
           errors[static_cast<std::size_t>(pi)] = std::current_exception();
         }
@@ -238,24 +402,40 @@ DistCsr DistCsr::from_rank_local(
     if (err != nullptr) std::rethrow_exception(err);
   }
 
-  d.finish_build(comm);
+  d.finish_build(std::move(blocks), comm);
   return d;
 }
 
-void DistCsr::finish_build(const CommConfig& comm) {
+DistCsr DistCsr::transposed(Executor* exec) const {
+  FSAIC_REQUIRE(blocks_ != nullptr, "DistCsr was not built by distribute()");
+  DistCsr t;
+  t.row_layout_ = row_layout_;
+  t.col_layout_ = col_layout_;
+  std::vector<RankBlock> out(static_cast<std::size_t>(nranks()));
+  for_each_rank(nranks(), exec, [&](rank_t q) {
+    build_transpose_block(row_layout_, blocks(), q,
+                          out[static_cast<std::size_t>(q)]);
+  });
+  t.finish_build(std::move(out), comm_);
+  return t;
+}
+
+void DistCsr::finish_build(std::vector<RankBlock> blocks,
+                           const CommConfig& comm) {
   // Send maps mirror the recv maps: rank q sends to p what p receives from q.
   for (rank_t p = 0; p < row_layout_.nranks(); ++p) {
-    for (const auto& nb : blocks_[static_cast<std::size_t>(p)].recv) {
-      auto& sender = blocks_[static_cast<std::size_t>(nb.rank)];
+    for (const auto& nb : blocks[static_cast<std::size_t>(p)].recv) {
+      auto& sender = blocks[static_cast<std::size_t>(nb.rank)];
       sender.send.push_back({p, nb.gids});
     }
   }
-  for (auto& blk : blocks_) {
+  for (auto& blk : blocks) {
     std::sort(blk.send.begin(), blk.send.end(),
               [](const RankBlock::Neighbor& a, const RankBlock::Neighbor& b) {
                 return a.rank < b.rank;
               });
   }
+  blocks_ = std::make_shared<const std::vector<RankBlock>>(std::move(blocks));
 
   // Materialize the comm scheme as halo plans and realize them under the
   // requested comm config (shared by copies).
@@ -268,10 +448,10 @@ void DistCsr::finish_build(const CommConfig& comm) {
 }
 
 void DistCsr::use_kernel(const KernelConfig& kernel) {
-  kernel_ = kernel.autotune ? resolve_autotune(kernel, blocks_) : kernel;
+  kernel_ = kernel.autotune ? resolve_autotune(kernel, blocks()) : kernel;
   ops_.clear();
-  ops_.reserve(blocks_.size());
-  for (const auto& blk : blocks_) {
+  ops_.reserve(blocks().size());
+  for (const auto& blk : blocks()) {
     ops_.emplace_back(blk.matrix, blk.interior_rows, blk.boundary_rows,
                       kernel_);
   }
@@ -279,8 +459,8 @@ void DistCsr::use_kernel(const KernelConfig& kernel) {
 
 offset_t DistCsr::padded_entries() const {
   offset_t total = 0;
-  for (std::size_t p = 0; p < blocks_.size(); ++p) {
-    total += ops_[p].padded_entries(blocks_[p].matrix);
+  for (std::size_t p = 0; p < blocks().size(); ++p) {
+    total += ops_[p].padded_entries(blocks()[p].matrix);
   }
   return total;
 }
@@ -294,7 +474,7 @@ double DistCsr::padding_ratio() const {
 std::vector<HaloPlan> DistCsr::build_halo_plans() const {
   std::vector<HaloPlan> plans(static_cast<std::size_t>(nranks()));
   for (rank_t p = 0; p < nranks(); ++p) {
-    const RankBlock& blk = blocks_[static_cast<std::size_t>(p)];
+    const RankBlock& blk = block(p);
     auto& plan = plans[static_cast<std::size_t>(p)];
     for (const auto& nb : blk.send) {
       plan.send.push_back({nb.rank, nb.gids});
@@ -320,7 +500,7 @@ std::vector<double> DistCsr::halo_wait_us() const {
 
 offset_t DistCsr::nnz() const {
   offset_t total = 0;
-  for (const auto& blk : blocks_) {
+  for (const auto& blk : blocks()) {
     total += blk.matrix.nnz();
   }
   return total;
@@ -328,7 +508,7 @@ offset_t DistCsr::nnz() const {
 
 offset_t DistCsr::max_rank_nnz() const {
   offset_t m = 0;
-  for (const auto& blk : blocks_) {
+  for (const auto& blk : blocks()) {
     m = std::max(m, blk.matrix.nnz());
   }
   return m;
@@ -336,7 +516,7 @@ offset_t DistCsr::max_rank_nnz() const {
 
 std::int64_t DistCsr::halo_update_bytes() const {
   std::int64_t bytes = 0;
-  for (const auto& blk : blocks_) {
+  for (const auto& blk : blocks()) {
     for (const auto& nb : blk.recv) {
       bytes += static_cast<std::int64_t>(nb.gids.size()) *
                static_cast<std::int64_t>(sizeof(value_t));
@@ -382,7 +562,7 @@ void DistCsr::spmv(const DistVector& x, DistVector& y, CommStats* stats,
     ex.parallel_ranks_phased(
         n, [&](rank_t p) { halo_->post_sends(p, x); },
         [&](rank_t p) {
-          const RankBlock& blk = blocks_[static_cast<std::size_t>(p)];
+          const RankBlock& blk = block(p);
           const auto nloc = static_cast<std::size_t>(row_layout_.local_size(p));
           const double t0 = trace != nullptr ? trace->now_us() : 0.0;
           std::vector<value_t> x_ext(nloc + blk.ghost_gids.size());
@@ -417,7 +597,7 @@ void DistCsr::spmv(const DistVector& x, DistVector& y, CommStats* stats,
     // Superstep 2: every rank assembles its extended local x [owned |
     // ghosts] by draining its mailboxes, then runs the rank-local SpMV.
     ex.parallel_ranks(n, [&](rank_t p) {
-      const RankBlock& blk = blocks_[static_cast<std::size_t>(p)];
+      const RankBlock& blk = block(p);
       const auto nloc = static_cast<std::size_t>(row_layout_.local_size(p));
       const double t0 = trace != nullptr ? trace->now_us() : 0.0;
       std::vector<value_t> x_ext(nloc + blk.ghost_gids.size());
@@ -444,24 +624,34 @@ void DistCsr::spmv(const DistVector& x, DistVector& y, CommStats* stats,
 }
 
 CsrMatrix DistCsr::to_global() const {
-  CooBuilder builder(row_layout_.global_size(), col_layout_.global_size());
+  const index_t n = row_layout_.global_size();
+  std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
   for (rank_t p = 0; p < nranks(); ++p) {
-    const RankBlock& blk = blocks_[static_cast<std::size_t>(p)];
-    const index_t row0 = row_layout_.begin(p);
-    const index_t nloc = row_layout_.local_size(p);
-    for (index_t li = 0; li < nloc; ++li) {
-      const auto cols = blk.matrix.row_cols(li);
-      const auto vals = blk.matrix.row_vals(li);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const index_t lj = cols[k];
-        const index_t gj = lj < nloc
-                               ? row0 + lj
-                               : blk.ghost_gids[static_cast<std::size_t>(lj - nloc)];
-        builder.add(row0 + li, gj, vals[k]);
-      }
+    const auto rp = block(p).matrix.row_ptr();
+    const auto row0 = static_cast<std::size_t>(row_layout_.begin(p));
+    for (std::size_t li = 0; li + 1 < rp.size(); ++li) {
+      row_ptr[row0 + li + 1] = row_ptr[row0 + li] + rp[li + 1] - rp[li];
     }
   }
-  return builder.to_csr();
+  std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<value_t> values(col_idx.size());
+  std::size_t pos = 0;
+  for (rank_t p = 0; p < nranks(); ++p) {
+    const RankBlock& blk = block(p);
+    for (index_t li = 0; li < blk.matrix.rows(); ++li) {
+      for_each_global_entry(blk, row_layout_.begin(p), li,
+                            [&](index_t gid, value_t v) {
+                              col_idx[pos] = gid;
+                              // Summed onto +0.0 so that a -0.0 entry reads
+                              // +0.0, the bits a COO assembly of the blocks
+                              // gives.
+                              values[pos] = value_t{0} + v;
+                              ++pos;
+                            });
+    }
+  }
+  return CsrMatrix(n, col_layout_.global_size(), std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
 }
 
 MatrixFingerprint fingerprint_rank_local(const DistCsr& a) {
@@ -474,10 +664,7 @@ MatrixFingerprint fingerprint_rank_local(const DistCsr& a) {
   // fingerprint_of() hashes the global CSR's row_ptr bytes, then col_idx
   // bytes, then value bytes; reproduce those exact streams from the rank
   // blocks. Row pointers are the running global nnz prefix; columns and
-  // values come out per row by merging the block row's local run (ascending
-  // gid = row0 + c) with its ghost run (ascending ghost_gids) — sorting by
-  // local index put every owned column before every ghost, so each run is
-  // already sorted and a two-pointer merge restores global column order.
+  // values come out per row in global column order (for_each_global_entry).
   Fnv1a64Stream h;
   offset_t acc = 0;
   h.update(&acc, sizeof(acc));
@@ -490,33 +677,10 @@ MatrixFingerprint fingerprint_rank_local(const DistCsr& a) {
   }
 
   const auto scan = [&](auto&& emit) {
-    constexpr index_t kDone = std::numeric_limits<index_t>::max();
     for (rank_t p = 0; p < a.nranks(); ++p) {
       const RankBlock& blk = a.block(p);
-      const index_t row0 = layout.begin(p);
-      const index_t nloc = blk.matrix.rows();
-      for (index_t li = 0; li < nloc; ++li) {
-        const auto cols = blk.matrix.row_cols(li);
-        const auto vals = blk.matrix.row_vals(li);
-        std::size_t split = 0;
-        while (split < cols.size() && cols[split] < nloc) ++split;
-        std::size_t il = 0;
-        std::size_t ig = split;
-        while (il < split || ig < cols.size()) {
-          const index_t gl = il < split ? row0 + cols[il] : kDone;
-          const index_t gg =
-              ig < cols.size()
-                  ? blk.ghost_gids[static_cast<std::size_t>(cols[ig]) -
-                                   static_cast<std::size_t>(nloc)]
-                  : kDone;
-          if (gl < gg) {
-            emit(gl, vals[il]);
-            ++il;
-          } else {
-            emit(gg, vals[ig]);
-            ++ig;
-          }
-        }
+      for (index_t li = 0; li < blk.matrix.rows(); ++li) {
+        for_each_global_entry(blk, layout.begin(p), li, emit);
       }
     }
   };

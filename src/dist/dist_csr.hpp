@@ -92,7 +92,8 @@ class DistCsr {
   /// default executor); block construction is a pure per-rank function, so
   /// the result is bit-identical to distribute(global, layout, comm) of
   /// the concatenated rows for every executor and thread count.
-  /// `rank_rows` must be safe to call concurrently for distinct ranks.
+  /// `rank_rows` must be safe to call concurrently for distinct ranks;
+  /// rows whose columns are out of range, unsorted or repeated throw.
   static DistCsr from_rank_local(
       Layout layout, const std::function<RankLocalRows(rank_t)>& rank_rows,
       const CommConfig& comm, Executor* exec = nullptr);
@@ -100,8 +101,11 @@ class DistCsr {
   [[nodiscard]] const Layout& row_layout() const { return row_layout_; }
   [[nodiscard]] const Layout& col_layout() const { return col_layout_; }
   [[nodiscard]] rank_t nranks() const { return row_layout_.nranks(); }
+  /// Rank p's block. Blocks are immutable once built and copies of a
+  /// DistCsr share them, so a copy costs its kernel realizations and halo
+  /// handle, never a second matrix.
   [[nodiscard]] const RankBlock& block(rank_t p) const {
-    return blocks_[static_cast<std::size_t>(p)];
+    return blocks()[static_cast<std::size_t>(p)];
   }
   [[nodiscard]] offset_t nnz() const;
   [[nodiscard]] offset_t max_rank_nnz() const;
@@ -170,19 +174,35 @@ class DistCsr {
   /// microseconds (nonzero only under the threaded executor).
   [[nodiscard]] std::vector<double> halo_wait_us() const;
 
-  /// Reassemble the global matrix (testing / diagnostics).
+  /// The distributed transpose under this matrix's comm config, built
+  /// block by block with no global matrix: rank q's rows of A^T come from
+  /// the owned columns of its own block and from the boundary rows of the
+  /// ranks in its send map (the rows whose ghost columns q owns). Equal,
+  /// block by block, to distribute(transpose(to_global()), row_layout(),
+  /// comm_config()). A non-null `exec` builds the blocks through its
+  /// parallel_for; nullptr builds them on the calling thread.
+  [[nodiscard]] DistCsr transposed(Executor* exec = nullptr) const;
+
+  /// Reassemble the global matrix in distributed numbering; each row merges
+  /// its block row's owned run with its ghost run. The solve path assembles
+  /// a generated operator with it (SolveSystem::assembled()).
   [[nodiscard]] CsrMatrix to_global() const;
 
  private:
+  [[nodiscard]] std::span<const RankBlock> blocks() const {
+    return blocks_ != nullptr ? std::span<const RankBlock>(*blocks_)
+                              : std::span<const RankBlock>{};
+  }
   [[nodiscard]] std::vector<HaloPlan> build_halo_plans() const;
-  /// Shared epilogue of distribute()/from_rank_local(): mirror the send
-  /// maps from the recv maps, realize the halo exchanger under `comm`, and
+  /// Shared epilogue of every build: mirror the send maps from the recv
+  /// maps, adopt the blocks, realize the halo exchanger under `comm`, and
   /// install the environment-selected kernel backend.
-  void finish_build(const CommConfig& comm);
+  void finish_build(std::vector<RankBlock> blocks, const CommConfig& comm);
 
   Layout row_layout_;
   Layout col_layout_;
-  std::vector<RankBlock> blocks_;
+  /// Immutable once built; shared between copies.
+  std::shared_ptr<const std::vector<RankBlock>> blocks_;
   CommConfig comm_;
   KernelConfig kernel_;
   /// Per-rank kernel realizations, parallel to blocks_. Copies of a DistCsr

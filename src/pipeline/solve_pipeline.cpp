@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sparse/mm_io.hpp"
-#include "sparse/ops.hpp"
 
 namespace fsaic {
 
@@ -116,10 +115,11 @@ std::vector<value_t> read_rhs(const std::string& path, index_t n) {
 
 std::unique_ptr<FactorizedPreconditioner> stored_factor_preconditioner(
     const CsrMatrix& g, const Layout& layout, const CommConfig& comm,
-    std::string label) {
+    std::string label, Executor* exec) {
+  DistCsr g_dist = DistCsr::distribute(g, layout, comm, exec);
+  DistCsr gt_dist = g_dist.transposed(exec);
   return std::make_unique<FactorizedPreconditioner>(
-      DistCsr::distribute(g, layout, comm),
-      DistCsr::distribute(transpose(g), layout, comm), std::move(label));
+      std::move(g_dist), std::move(gt_dist), std::move(label));
 }
 
 }  // namespace fsaic

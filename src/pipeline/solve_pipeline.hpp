@@ -108,9 +108,12 @@ struct SolveSystem {
 [[nodiscard]] std::vector<value_t> read_rhs(const std::string& path, index_t n);
 
 /// A saved or cached factor G as the z = G^T (G r) preconditioner, with G
-/// and G^T distributed over `layout` under `comm`.
+/// and G^T distributed over `layout` under `comm`; G^T is built from G's
+/// rank blocks (DistCsr::transposed). A non-null `exec` builds the blocks
+/// through its parallel_for; nullptr builds them on the calling thread.
 [[nodiscard]] std::unique_ptr<FactorizedPreconditioner>
 stored_factor_preconditioner(const CsrMatrix& g, const Layout& layout,
-                             const CommConfig& comm, std::string label);
+                             const CommConfig& comm, std::string label,
+                             Executor* exec = nullptr);
 
 }  // namespace fsaic

@@ -445,7 +445,7 @@ void SolveService::process_batch(std::vector<Pending> batch, Executor* exec) {
     }
     if (factor != nullptr) {
       precond = stored_factor_preconditioner(factor->g, factor->layout, comm,
-                                             lead.method + "(cached)");
+                                             lead.method + "(cached)", exec);
     } else {
       FsaiOptions opts = fsai_method_options(
           lead.method, lead.filter,

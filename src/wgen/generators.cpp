@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -113,31 +114,21 @@ RankLocalRows stencil_rows(const ResolvedWorkload& w, index_t row0,
 /// Deterministic distribution of `npoints` over `ncells` linearized cells
 /// via recursive binary splits of the cell index range: the left half of
 /// [lo, hi) gets a normal-approximated binomial share drawn from an Rng
-/// seeded by (seed, lo, hi). Any count/prefix/locate query replays the
-/// O(log ncells) splits on its root-to-leaf path — no O(ncells) state, so
-/// every rank answers queries about every cell independently and
-/// identically.
+/// seeded by (seed, lo, hi). A prefix/locate query replays the O(log
+/// ncells) splits on its root-to-leaf path, and counts() replays the splits
+/// over one cell range — no O(ncells) state, so every rank answers queries
+/// about every cell independently and identically.
 class CellSplit {
  public:
   CellSplit(std::uint64_t seed, offset_t ncells, index_t npoints)
       : seed_(seed), ncells_(ncells), npoints_(npoints) {}
 
-  [[nodiscard]] index_t count(offset_t cell) const {
-    offset_t lo = 0;
-    offset_t hi = ncells_;
-    index_t cnt = npoints_;
-    while (hi - lo > 1 && cnt > 0) {
-      const offset_t mid = lo + (hi - lo) / 2;
-      const index_t left = left_of(lo, hi, cnt);
-      if (cell < mid) {
-        hi = mid;
-        cnt = left;
-      } else {
-        lo = mid;
-        cnt -= left;
-      }
-    }
-    return cnt;
+  /// Point counts of cells [first, last) into out[0, last - first): one
+  /// descent through the split nodes that overlap the range, each split
+  /// drawn once.
+  void counts(offset_t first, offset_t last, std::span<index_t> out) const {
+    std::fill(out.begin(), out.end(), 0);
+    fill_counts(0, ncells_, npoints_, first, last, out);
   }
 
   /// Points in cells [0, cell).
@@ -206,6 +197,19 @@ class CellSplit {
     return static_cast<index_t>(left);
   }
 
+  void fill_counts(offset_t lo, offset_t hi, index_t cnt, offset_t first,
+                   offset_t last, std::span<index_t> out) const {
+    if (hi <= first || lo >= last || cnt == 0) return;
+    if (hi - lo == 1) {
+      out[static_cast<std::size_t>(lo - first)] = cnt;
+      return;
+    }
+    const offset_t mid = lo + (hi - lo) / 2;
+    const index_t left = left_of(lo, hi, cnt);
+    fill_counts(lo, mid, left, first, last, out);
+    fill_counts(mid, hi, cnt - left, first, last, out);
+  }
+
   std::uint64_t seed_;
   offset_t ncells_;
   index_t npoints_;
@@ -215,10 +219,9 @@ struct Point {
   double x = 0.0, y = 0.0, z = 0.0;
 };
 
-/// All points of one cell, in point-id order.
-void cell_points(const ResolvedWorkload& w, offset_t cell, index_t cnt,
-                 std::vector<Point>& out) {
-  out.clear();
+/// Append all points of one cell, in point-id order.
+void append_cell_points(const ResolvedWorkload& w, offset_t cell, index_t cnt,
+                        std::vector<Point>& out) {
   const index_t cells = w.cells;
   const double width = 1.0 / static_cast<double>(cells);
   const auto cx = static_cast<index_t>(cell % cells);
@@ -252,31 +255,52 @@ RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
   const CellSplit split(w.seed, ncells, w.rows);
   const double r2 = w.radius * w.radius;
 
-  offset_t cell = 0;
-  index_t off0 = 0;
-  split.locate(row0, &cell, &off0);
-  index_t pre = row0 - off0;  // points before `cell`
+  // The rows' cells are [first, last]; their neighbours lie within `reach`
+  // linear cells of them. Count the cells of that range once, then
+  // generate each cell's points once: cell c's points are
+  // pts[prefix[c - c0] - prefix[0], prefix[c + 1 - c0] - prefix[0]).
+  offset_t first = 0;
+  offset_t last = 0;
+  index_t off = 0;
+  split.locate(row0, &first, &off);
+  split.locate(row1 - 1, &last, &off);
+  const offset_t reach =
+      three_d ? static_cast<offset_t>(cells) * cells + cells + 1 : cells + 1;
+  const offset_t c0 = std::max<offset_t>(0, first - reach);
+  const offset_t c1 = std::min<offset_t>(ncells, last + reach + 1);
+  const auto span = static_cast<std::size_t>(c1 - c0);
+  std::vector<index_t> count(span);
+  split.counts(c0, c1, count);
+  std::vector<index_t> prefix(span + 1);
+  prefix[0] = split.prefix(c0);
+  std::vector<Point> pts;
+  for (std::size_t c = 0; c < span; ++c) {
+    prefix[c + 1] = prefix[c] + count[c];
+    append_cell_points(w, c0 + static_cast<offset_t>(c), count[c], pts);
+  }
 
   struct NeighborCell {
     index_t prefix = 0;
     bool self = false;
-    std::vector<Point> pts;
+    std::span<const Point> pts;
   };
-  std::vector<Point> own;
   std::vector<NeighborCell> nbrs;
   std::vector<std::pair<index_t, value_t>> entries;
+  const auto cell_of = [&](offset_t c) {
+    const auto k = static_cast<std::size_t>(c - c0);
+    return std::span<const Point>(pts).subspan(
+        static_cast<std::size_t>(prefix[k] - prefix[0]),
+        static_cast<std::size_t>(count[k]));
+  };
 
-  for (; pre < row1 && cell < ncells; ++cell) {
-    const index_t cnt = split.count(cell);
+  for (offset_t cell = first; cell <= last; ++cell) {
+    const index_t cnt = count[static_cast<std::size_t>(cell - c0)];
     if (cnt == 0) continue;
-    if (pre + cnt <= row0) {
-      pre += cnt;
-      continue;
-    }
-    cell_points(w, cell, cnt, own);
+    const index_t pre = prefix[static_cast<std::size_t>(cell - c0)];
+    const std::span<const Point> own = cell_of(cell);
 
-    // Gather the 3^d surrounding cells (clamped at the domain boundary —
-    // no wrap-around).
+    // The 3^d surrounding cells (clamped at the domain boundary — no
+    // wrap-around).
     nbrs.clear();
     const auto cx = static_cast<index_t>(cell % cells);
     const auto cyz = cell / cells;
@@ -291,15 +315,8 @@ RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
              xx <= std::min<index_t>(cells - 1, cx + 1); ++xx) {
           const offset_t nc =
               (static_cast<offset_t>(zz) * cells + yy) * cells + xx;
-          NeighborCell n;
-          n.self = nc == cell;
-          n.prefix = split.prefix(nc);
-          if (n.self) {
-            n.pts = own;
-          } else {
-            cell_points(w, nc, split.count(nc), n.pts);
-          }
-          nbrs.push_back(std::move(n));
+          nbrs.push_back({prefix[static_cast<std::size_t>(nc - c0)], nc == cell,
+                          cell_of(nc)});
         }
       }
     }
@@ -325,7 +342,6 @@ RankLocalRows rgg_rows(const ResolvedWorkload& w, index_t row0, index_t row1) {
                            static_cast<value_t>(entries.size()) + w.shift);
       append_row(entries, out);
     }
-    pre += cnt;
   }
   FSAIC_REQUIRE(out.row_ptr.size() == static_cast<std::size_t>(row1 - row0) + 1,
                 "rgg generation lost rows");

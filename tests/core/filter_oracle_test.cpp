@@ -2,7 +2,8 @@
 // tested every entry with a binary search of the base pattern and recounted
 // a rank's whole rows at every doubling and bisection step. Patterns,
 // per-rank filters and entry counts, bisection counts and allreduces must
-// all be identical.
+// all be identical, on the sequential executor and on 2- and 3-thread
+// teams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include "core/fsai.hpp"
 #include "core/fsai_driver.hpp"
 #include "core/pattern_extend.hpp"
+#include "exec/executor.hpp"
+#include "exec/threaded_executor.hpp"
 #include "matgen/generators.hpp"
 #include "matgen/suite.hpp"
 
@@ -174,20 +177,34 @@ void expect_same_outcome(const FilterOutcome& got, const FilterOutcome& want,
   }
 }
 
+/// The executors the rank-parallel filters run on: the sequential one and
+/// teams of 2 and 3 threads.
+std::vector<std::pair<std::string, Executor*>> filter_executors() {
+  static SeqExecutor seq;
+  static ThreadedExecutor two(2);
+  static ThreadedExecutor three(3);
+  return {{"seq", &seq}, {"2 threads", &two}, {"3 threads", &three}};
+}
+
 void expect_same_filters(const CsrMatrix& g_ext, const SparsityPattern& base,
                          const Layout& layout, const FilterOptions& options,
                          const std::string& what) {
-  expect_same_outcome(static_filter(g_ext, base, layout, options),
-                      reference::static_filter(g_ext, base, layout, options),
-                      what + " static");
-  CommStats stats;
+  const FilterOutcome want_static =
+      reference::static_filter(g_ext, base, layout, options);
   CommStats ref_stats;
-  expect_same_outcome(
-      dynamic_filter(g_ext, base, layout, options, &stats),
-      reference::dynamic_filter(g_ext, base, layout, options, &ref_stats),
-      what + " dynamic");
-  EXPECT_EQ(stats.allreduce_count, ref_stats.allreduce_count) << what;
-  EXPECT_EQ(stats.allreduce_bytes, ref_stats.allreduce_bytes) << what;
+  const FilterOutcome want_dynamic =
+      reference::dynamic_filter(g_ext, base, layout, options, &ref_stats);
+  for (const auto& [ename, exec] : filter_executors()) {
+    const std::string at = what + " on " + ename;
+    expect_same_outcome(static_filter(g_ext, base, layout, options, exec),
+                        want_static, at + " static");
+    CommStats stats;
+    expect_same_outcome(
+        dynamic_filter(g_ext, base, layout, options, &stats, exec),
+        want_dynamic, at + " dynamic");
+    EXPECT_EQ(stats.allreduce_count, ref_stats.allreduce_count) << at;
+    EXPECT_EQ(stats.allreduce_bytes, ref_stats.allreduce_bytes) << at;
+  }
 }
 
 /// FSAIE-Comm's unfiltered factor of a suite operator partitioned over 8

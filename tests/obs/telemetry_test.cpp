@@ -178,8 +178,9 @@ TEST(TelemetryTest, DriverTraceContainsTheSetupPipelinePhases) {
   opts.trace = &trace;
   const auto build = build_fsai_preconditioner(a, l, opts);
   const auto events = trace.events();
-  for (const char* phase : {"pattern_build", "pattern_extension", "filtering",
-                            "factorization", "distribute_factors"}) {
+  for (const char* phase :
+       {"pattern_build", "pattern_extension", "provisional_factor", "filtering",
+        "factorization", "distribute_factors"}) {
     EXPECT_EQ(count_events(events, phase, 'B'), 1) << phase;
     EXPECT_EQ(count_events(events, phase, 'E'), 1) << phase;
   }

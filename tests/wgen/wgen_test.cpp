@@ -244,6 +244,9 @@ TEST(WgenGoldenTest, SmallInstanceFingerprintsArePinned) {
       {"rgg2d:n=500,seed=3", "2b9dbf0681b94380"},
       {"rgg3d:n=300,seed=5", "b1649e358e86b6e6"},
       {"rmat:n=128,edge_factor=4,seed=7", "79d6981ca97c606c"},
+      // serve-mix's cold operator: large enough that every rank's cell
+      // range has interior cells, neighbours on both sides and empty cells.
+      {"rgg2d:n=16384,seed=1", "3b3856235fe0dc84"},
   };
   for (const auto& [text, expected] : golden) {
     SCOPED_TRACE(text);
@@ -299,6 +302,16 @@ TEST(FromRankLocalTest, RejectsMalformedRows) {
           layout,
           [](rank_t) {
             return RankLocalRows{{0, 1, 2}, {0, 99}, {1.0, 1.0}};
+          },
+          CommConfig{}),
+      Error);
+  // Columns out of order within a row (blocks are built from sorted rows).
+  EXPECT_THROW(
+      (void)DistCsr::from_rank_local(
+          layout,
+          [](rank_t p) {
+            const auto i = static_cast<index_t>(2 * p);
+            return RankLocalRows{{0, 2, 3}, {3, i, i + 1}, {1.0, 1.0, 1.0}};
           },
           CommConfig{}),
       Error);

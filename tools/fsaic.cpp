@@ -488,7 +488,7 @@ int cmd_solve(const Args& args) {
                     "saved factor was built for a different layout");
       require_factor_matches(saved, assembled());
       auto loaded = stored_factor_preconditioner(saved.g, saved.layout, comm,
-                                                 method + "(loaded)");
+                                                 method + "(loaded)", exec.get());
       apply_cost = cost.spmv_cost(loaded->g()).total() +
                    cost.spmv_cost(loaded->gt()).total();
       precond = std::move(loaded);
