@@ -25,6 +25,7 @@
 #include "cachesim/cache_model.hpp"
 #include "common/rng.hpp"
 #include "core/fsai_driver.hpp"
+#include "exec/executor.hpp"
 #include "graph/partition.hpp"
 #include "matgen/generators.hpp"
 #include "matgen/suite.hpp"
@@ -85,8 +86,9 @@ void BM_PatternExtension(benchmark::State& state) {
   const auto a = poisson2d(96, 96);
   const auto s = fsai_base_pattern(a, 1, 0.0);
   const Layout l = Layout::blocked(a.rows(), 8);
+  SeqExecutor seq;  // the stage itself, on one thread
   for (auto _ : state) {
-    auto r = extend_pattern(s, l, line, ExtensionMode::CommAware);
+    auto r = extend_pattern(s, l, line, ExtensionMode::CommAware, &seq);
     benchmark::DoNotOptimize(&r);
   }
   state.SetItemsProcessed(state.iterations() * s.nnz());
@@ -156,8 +158,9 @@ void BM_DynamicFilter(benchmark::State& state) {
   const auto g_ext = compute_fsai_factor(a, ext.extended);
   FilterOptions opts;
   opts.filter = 0.001;
+  SeqExecutor seq;  // the stage itself, on one thread
   for (auto _ : state) {
-    auto out = dynamic_filter(g_ext, base, layout, opts);
+    auto out = dynamic_filter(g_ext, base, layout, opts, nullptr, &seq);
     benchmark::DoNotOptimize(&out);
   }
 }

@@ -31,6 +31,8 @@ struct EntryClasses {
   std::vector<std::uint8_t> droppable;
   /// Per rank: entries no filter drops.
   std::vector<offset_t> kept;
+  /// g_ext's diagonal (0 where absent), picked up by the same pass.
+  std::vector<value_t> diag;
 };
 
 /// f(p) for every rank p, ranks in parallel on `exec`.
@@ -41,24 +43,16 @@ void for_each_rank(const Layout& layout, Executor& exec, Fn&& f) {
   });
 }
 
-/// g_ext's diagonal (0 where absent), row-parallel.
-std::vector<value_t> diagonal_of(const CsrMatrix& g_ext, Executor& exec) {
-  FSAIC_REQUIRE(g_ext.rows() == g_ext.cols(), "diagonal requires a square matrix");
-  std::vector<value_t> diag(static_cast<std::size_t>(g_ext.rows()));
-  exec.parallel_for(g_ext.rows(), [&](index_t i, int /*slot*/) {
-    diag[static_cast<std::size_t>(i)] = g_ext.at(i, i);
-  });
-  return diag;
-}
-
 /// One linear pass per rank that merges each row of g_ext with its base
 /// row.
 EntryClasses classify(const CsrMatrix& g_ext, const SparsityPattern& base,
                       const Layout& layout, const FilterOptions& options,
                       Executor& exec) {
+  FSAIC_REQUIRE(g_ext.rows() == g_ext.cols(), "filtering requires a square matrix");
   EntryClasses c;
   c.droppable.assign(static_cast<std::size_t>(g_ext.nnz()), 0);
   c.kept.assign(static_cast<std::size_t>(layout.nranks()), 0);
+  c.diag.assign(static_cast<std::size_t>(g_ext.rows()), 0.0);
   const auto row_ptr = g_ext.row_ptr();
   for_each_rank(layout, exec, [&](rank_t p) {
     offset_t kept = 0;
@@ -71,6 +65,7 @@ EntryClasses classify(const CsrMatrix& g_ext, const SparsityPattern& base,
       for (std::size_t k = 0; k < cols.size(); ++k) {
         const index_t j = cols[k];
         while (b != protected_cols.end() && *b < j) ++b;
+        if (j == i) c.diag[static_cast<std::size_t>(i)] = g_ext.row_vals(i)[k];
         if (j == i || (b != protected_cols.end() && *b == j)) {
           ++kept;
         } else {
@@ -138,11 +133,10 @@ value_t survival_threshold(value_t mag, value_t scale) {
 class SurvivorCounter {
  public:
   SurvivorCounter(const CsrMatrix& g_ext, const EntryClasses& classes,
-                  const Layout& layout, std::span<const value_t> diag)
+                  const Layout& layout)
       : g_ext_(g_ext),
         classes_(classes),
         layout_(layout),
-        diag_(diag),
         ranks_(static_cast<std::size_t>(layout.nranks())) {}
 
   offset_t count(rank_t p, value_t f) {
@@ -191,7 +185,7 @@ class SurvivorCounter {
       const auto k0 = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)]);
       for (std::size_t k = 0; k < cols.size(); ++k) {
         if (classes_.droppable[k0 + k] != 0) {
-          fn(std::abs(vals[k]), entry_scale(diag_, i, cols[k]));
+          fn(std::abs(vals[k]), entry_scale(classes_.diag, i, cols[k]));
         }
       }
     }
@@ -200,7 +194,6 @@ class SurvivorCounter {
   const CsrMatrix& g_ext_;
   const EntryClasses& classes_;
   const Layout& layout_;
-  std::span<const value_t> diag_;
   std::vector<RankState> ranks_;
 };
 
@@ -210,7 +203,7 @@ class SurvivorCounter {
 /// entries in place.
 FilterOutcome assemble(const CsrMatrix& g_ext, EntryClasses& classes,
                        const Layout& layout, std::vector<value_t> rank_filter,
-                       std::span<const value_t> diag, Executor& exec) {
+                       Executor& exec) {
   const index_t n = g_ext.rows();
   const auto g_row_ptr = g_ext.row_ptr();
   std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
@@ -227,7 +220,8 @@ FilterOutcome assemble(const CsrMatrix& g_ext, EntryClasses& classes,
       for (std::size_t k = 0; k < cols.size(); ++k) {
         std::uint8_t& drop = classes.droppable[k0 + k];
         drop = drop != 0 &&
-               !survives(std::abs(vals[k]), entry_scale(diag, i, cols[k]), f);
+               !survives(std::abs(vals[k]),
+                         entry_scale(classes.diag, i, cols[k]), f);
         if (drop == 0) ++len;
       }
       row_ptr[static_cast<std::size_t>(i) + 1] = len;
@@ -261,11 +255,10 @@ FilterOutcome static_filter(const CsrMatrix& g_ext, const SparsityPattern& base,
                             Executor* exec) {
   FSAIC_REQUIRE(g_ext.rows() == layout.global_size(), "layout mismatch");
   Executor& ex = resolve_executor(exec);
-  const auto diag = diagonal_of(g_ext, ex);
   EntryClasses classes = classify(g_ext, base, layout, options, ex);
   std::vector<value_t> filters(static_cast<std::size_t>(layout.nranks()),
                                options.filter);
-  return assemble(g_ext, classes, layout, std::move(filters), diag, ex);
+  return assemble(g_ext, classes, layout, std::move(filters), ex);
 }
 
 FilterOutcome dynamic_filter(const CsrMatrix& g_ext, const SparsityPattern& base,
@@ -273,9 +266,8 @@ FilterOutcome dynamic_filter(const CsrMatrix& g_ext, const SparsityPattern& base
                              CommStats* stats, Executor* exec) {
   FSAIC_REQUIRE(g_ext.rows() == layout.global_size(), "layout mismatch");
   Executor& ex = resolve_executor(exec);
-  const auto diag = diagonal_of(g_ext, ex);
   EntryClasses classes = classify(g_ext, base, layout, options, ex);
-  SurvivorCounter counter(g_ext, classes, layout, diag);
+  SurvivorCounter counter(g_ext, classes, layout);
   const rank_t nranks = layout.nranks();
   std::vector<value_t> filters(static_cast<std::size_t>(nranks), options.filter);
   std::vector<offset_t> counts(static_cast<std::size_t>(nranks), 0);
@@ -340,8 +332,7 @@ FilterOutcome dynamic_filter(const CsrMatrix& g_ext, const SparsityPattern& base
     }
   }
 
-  FilterOutcome out =
-      assemble(g_ext, classes, layout, std::move(filters), diag, ex);
+  FilterOutcome out = assemble(g_ext, classes, layout, std::move(filters), ex);
   for (const int b : bisections) out.bisection_iterations += b;
   return out;
 }

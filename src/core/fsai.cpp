@@ -192,36 +192,30 @@ void run_setup_rows(const CsrMatrix& a, const SparsityPattern& s, CsrMatrix& g,
   }
 }
 
-/// lower(p) with every diagonal entry, equal to
-/// p.lower_triangle().with_full_diagonal() restricted to the entries
-/// `keep(i, k)` selects (k indexes row i of p; the diagonal is always in).
-/// Row-parallel on `exec`: a count pass sizes each row, a fill pass writes
-/// it in place, already sorted (the kept columns below the diagonal, then
-/// the diagonal).
-template <typename Keep>
-SparsityPattern lower_with_diagonal(const SparsityPattern& p, Keep&& keep,
-                                    Executor& exec) {
+/// p.lower_triangle().with_full_diagonal(), row-parallel on `exec`: a count
+/// pass sizes each row, a fill pass writes it in place, already sorted (the
+/// columns below the diagonal, then the diagonal).
+SparsityPattern lower_with_diagonal(const SparsityPattern& p, Executor& exec) {
   const index_t n = p.rows();
-  const auto for_each_kept = [&](index_t i, auto&& emit) {
+  // Row i's columns below the diagonal.
+  const auto below = [&](index_t i) {
     const auto cols = p.row(i);
-    for (std::size_t k = 0; k < cols.size() && cols[k] < i; ++k) {
-      if (keep(i, k)) emit(cols[k]);
-    }
-    emit(i);
+    return cols.first(static_cast<std::size_t>(
+        std::lower_bound(cols.begin(), cols.end(), i) - cols.begin()));
   };
   std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
   exec.parallel_for(n, [&](index_t i, int /*slot*/) {
-    offset_t len = 0;
-    for_each_kept(i, [&](index_t) { ++len; });
-    row_ptr[static_cast<std::size_t>(i) + 1] = len;
+    row_ptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<offset_t>(below(i).size()) + 1;
   });
   for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
     row_ptr[i + 1] += row_ptr[i];
   }
   std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
   exec.parallel_for(n, [&](index_t i, int /*slot*/) {
-    auto pos = static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(i)]);
-    for_each_kept(i, [&](index_t j) { col_idx[pos++] = j; });
+    const auto cols = below(i);
+    auto out = col_idx.begin() + row_ptr[static_cast<std::size_t>(i)];
+    *std::copy(cols.begin(), cols.end(), out) = i;
   });
   return SparsityPattern(n, n, std::move(row_ptr), std::move(col_idx));
 }
@@ -272,35 +266,13 @@ SparsityPattern fsai_base_pattern(const CsrMatrix& a, int sparsity_level,
   FSAIC_REQUIRE(sparsity_level >= 1, "sparsity level must be >= 1");
   FSAIC_REQUIRE(a.rows() == a.cols(), "FSAI requires a square matrix");
   Executor& ex = resolve_executor(exec);
-  const auto keep_all = [](index_t, std::size_t) { return true; };
-  if (sparsity_level > 1) {
-    const SparsityPattern p =
-        (prefilter_threshold > 0.0 ? threshold(a, prefilter_threshold).pattern()
-                                   : a.pattern())
-            .symbolic_power(sparsity_level);
-    return lower_with_diagonal(p, keep_all, ex);
-  }
-  if (prefilter_threshold <= 0.0) {
-    return lower_with_diagonal(a.pattern(), keep_all, ex);
-  }
-  // threshold(a, tau) row by row: an off-diagonal entry stays when it is
-  // nonzero and |a_ij| >= tau * sqrt(|a_ii * a_jj|).
-  std::vector<value_t> diag(static_cast<std::size_t>(a.rows()));
-  ex.parallel_for(a.rows(), [&](index_t i, int /*slot*/) {
-    diag[static_cast<std::size_t>(i)] = a.at(i, i);
-  });
-  return lower_with_diagonal(
-      a.pattern(),
-      [&](index_t i, std::size_t k) {
-        const value_t v = a.row_vals(i)[k];
-        const index_t j = a.row_cols(i)[k];
-        return v != 0.0 &&
-               std::abs(v) >= prefilter_threshold *
-                                  std::sqrt(std::abs(
-                                      diag[static_cast<std::size_t>(i)] *
-                                      diag[static_cast<std::size_t>(j)]));
-      },
-      ex);
+  // The pattern of Ã: threshold(A, tau)'s, or A's own, uncopied, at tau = 0.
+  CsrMatrix filtered;
+  if (prefilter_threshold > 0.0) filtered = threshold(a, prefilter_threshold);
+  const SparsityPattern& a_tilde =
+      prefilter_threshold > 0.0 ? filtered.pattern() : a.pattern();
+  if (sparsity_level == 1) return lower_with_diagonal(a_tilde, ex);
+  return lower_with_diagonal(a_tilde.symbolic_power(sparsity_level), ex);
 }
 
 }  // namespace fsaic

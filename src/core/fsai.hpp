@@ -78,9 +78,10 @@ struct FsaiComputeOptions {
 
 /// The a-priori pattern of Algorithm 1 steps 1–2: lower triangle of the
 /// pattern of Ã^N (Ã = threshold(A, tau)), with the full diagonal inserted.
-/// Built row-parallel on `exec` (null -> the process-wide default executor)
-/// straight from A's rows at N = 1; the pattern is the same for every
-/// executor and thread count.
+/// The lower triangle is taken row-parallel on `exec` (null -> the
+/// process-wide default executor), straight from A's pattern when N = 1
+/// and tau = 0; the pattern is the same for every executor and thread
+/// count.
 [[nodiscard]] SparsityPattern fsai_base_pattern(const CsrMatrix& a,
                                                 int sparsity_level,
                                                 value_t prefilter_threshold,

@@ -160,18 +160,6 @@ void build_rank_block(const Layout& layout, rank_t p, RowFn&& row,
   }
 }
 
-/// f(p) for every rank: through exec's parallel_for when non-null, else in
-/// a plain loop on the calling thread.
-template <typename Fn>
-void for_each_rank(rank_t nranks, Executor* exec, Fn&& f) {
-  if (exec != nullptr) {
-    exec->parallel_for(static_cast<index_t>(nranks),
-                       [&](index_t p, int /*slot*/) { f(static_cast<rank_t>(p)); });
-  } else {
-    for (rank_t p = 0; p < nranks; ++p) f(p);
-  }
-}
-
 /// emit(gid, value) for every entry of block row li, in ascending global
 /// column order: the row's owned run (gid = row0 + c) merged with its ghost
 /// run (ascending ghost_gids). Sorting by local index put every owned
@@ -329,7 +317,8 @@ DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
   d.row_layout_ = layout;
   d.col_layout_ = layout;
   std::vector<RankBlock> blocks(static_cast<std::size_t>(layout.nranks()));
-  for_each_rank(layout.nranks(), exec, [&](rank_t p) {
+  const auto build = [&](index_t pi, int /*slot*/) {
+    const auto p = static_cast<rank_t>(pi);
     const index_t row0 = layout.begin(p);
     build_rank_block(
         layout, p,
@@ -337,7 +326,12 @@ DistCsr DistCsr::distribute(const CsrMatrix& global, Layout layout,
           return RowView{global.row_cols(row0 + li), global.row_vals(row0 + li)};
         },
         blocks[static_cast<std::size_t>(p)]);
-  });
+  };
+  if (exec != nullptr) {
+    exec->parallel_for(static_cast<index_t>(layout.nranks()), build);
+  } else {
+    for (rank_t p = 0; p < layout.nranks(); ++p) build(p, 0);
+  }
   d.finish_build(std::move(blocks), comm);
   return d;
 }
@@ -412,10 +406,11 @@ DistCsr DistCsr::transposed(Executor* exec) const {
   t.row_layout_ = row_layout_;
   t.col_layout_ = col_layout_;
   std::vector<RankBlock> out(static_cast<std::size_t>(nranks()));
-  for_each_rank(nranks(), exec, [&](rank_t q) {
-    build_transpose_block(row_layout_, blocks(), q,
-                          out[static_cast<std::size_t>(q)]);
-  });
+  resolve_executor(exec).parallel_for(
+      static_cast<index_t>(nranks()), [&](index_t q, int /*slot*/) {
+        build_transpose_block(row_layout_, blocks(), static_cast<rank_t>(q),
+                              out[static_cast<std::size_t>(q)]);
+      });
   t.finish_build(std::move(out), comm_);
   return t;
 }

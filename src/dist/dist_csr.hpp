@@ -179,8 +179,8 @@ class DistCsr {
   /// the owned columns of its own block and from the boundary rows of the
   /// ranks in its send map (the rows whose ghost columns q owns). Equal,
   /// block by block, to distribute(transpose(to_global()), row_layout(),
-  /// comm_config()). A non-null `exec` builds the blocks through its
-  /// parallel_for; nullptr builds them on the calling thread.
+  /// comm_config()). The blocks build in parallel on `exec` (nullptr ->
+  /// the process-wide default executor).
   [[nodiscard]] DistCsr transposed(Executor* exec = nullptr) const;
 
   /// Reassemble the global matrix in distributed numbering; each row merges

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "exec/executor.hpp"
 #include "sparse/mm_io.hpp"
 
 namespace fsaic {
@@ -116,8 +117,9 @@ std::vector<value_t> read_rhs(const std::string& path, index_t n) {
 std::unique_ptr<FactorizedPreconditioner> stored_factor_preconditioner(
     const CsrMatrix& g, const Layout& layout, const CommConfig& comm,
     std::string label, Executor* exec) {
-  DistCsr g_dist = DistCsr::distribute(g, layout, comm, exec);
-  DistCsr gt_dist = g_dist.transposed(exec);
+  Executor& ex = resolve_executor(exec);
+  DistCsr g_dist = DistCsr::distribute(g, layout, comm, &ex);
+  DistCsr gt_dist = g_dist.transposed(&ex);
   return std::make_unique<FactorizedPreconditioner>(
       std::move(g_dist), std::move(gt_dist), std::move(label));
 }

@@ -109,8 +109,8 @@ struct SolveSystem {
 
 /// A saved or cached factor G as the z = G^T (G r) preconditioner, with G
 /// and G^T distributed over `layout` under `comm`; G^T is built from G's
-/// rank blocks (DistCsr::transposed). A non-null `exec` builds the blocks
-/// through its parallel_for; nullptr builds them on the calling thread.
+/// rank blocks (DistCsr::transposed). Both build their blocks in parallel
+/// on `exec` (null -> the process-wide default executor).
 [[nodiscard]] std::unique_ptr<FactorizedPreconditioner>
 stored_factor_preconditioner(const CsrMatrix& g, const Layout& layout,
                              const CommConfig& comm, std::string label,

@@ -103,7 +103,7 @@ TEST(DistTransposeTest, MatchesDistributeOfTheGlobalTranspose) {
   ThreadedExecutor two(2);
   ThreadedExecutor three(3);
   const std::pair<const char*, Executor*> execs[] = {
-      {"calling thread", nullptr}, {"seq", &seq}, {"2 threads", &two},
+      {"default", nullptr}, {"seq", &seq}, {"2 threads", &two},
       {"3 threads", &three}};
   for (const CommConfig comm : {CommConfig{}, CommConfig{CommMode::NodeAware, 2}}) {
     for (const Case& c : cases()) {
